@@ -6,127 +6,22 @@ signal schedules, a rule-based regular driver, a dynamic-programming
 speed-trajectory optimizer, and a rule-based speed advisory with an
 imperfect driver-following model."""
 
-from .advisory import (
-    Action,
-    Advisory,
-    AdvisoryConfig,
-    DriverFollowingModel,
-    IDEAL_DRIVER,
-    recommend,
-    simulate_advised_driver,
-)
-from .baseline import RegularDriverRules, simulate_regular, stopping_acceleration
-from .battery import (
-    BatteryModel,
-    CoefficientTableError,
-    DecayCoefficientRow,
-    c_rate,
-    decay_cost_rate,
-    default_coefficient_table,
-    lifetime_ah_throughput,
-    load_coefficient_table,
-    soh_decay_rate,
-)
-from .config import ConfigError, RunConfig, load_config
-from .corridor import (
-    Corridor,
-    GradeProfile,
-    Phase,
-    SignalSchedule,
-    crossing_allowed,
-    make_corridor,
-    next_green_onset,
-    next_red_onset,
-    phase_at,
-)
-from .costs import ArcCost, CostBreakdown, Prices, motion_arc_cost, hold_arc_cost
-from .dp import (
-    DpGridSpec,
-    DpResult,
-    InfeasibleScenarioError,
-    optimize,
-    time_budget,
-    verify_against_enumeration,
-)
-from .oracle import run_oracle_suite
-from .powertrain import (
-    KinematicSegment,
-    VehicleParams,
-    power_demand,
-    segment_energy,
-    wheel_power,
-)
+from .config import load_config
+from .powertrain import VehicleParams
 from .study import (
     ScenarioSpec,
-    ScenarioResult,
-    SweepResult,
-    VEHICLE_VARIANTS,
     battery_size_study,
-    evaluate_trajectory,
     run_advisory_scenario,
     run_scenario,
     sweep,
 )
-from .trajectory import Trajectory, TrajectoryValidationError
 
 __all__ = [
-    "Action",
-    "Advisory",
-    "AdvisoryConfig",
-    "ArcCost",
-    "BatteryModel",
-    "CoefficientTableError",
-    "ConfigError",
-    "Corridor",
-    "CostBreakdown",
-    "DecayCoefficientRow",
-    "DpGridSpec",
-    "DpResult",
-    "DriverFollowingModel",
-    "GradeProfile",
-    "IDEAL_DRIVER",
-    "InfeasibleScenarioError",
-    "KinematicSegment",
-    "Phase",
-    "Prices",
-    "RegularDriverRules",
-    "RunConfig",
-    "ScenarioResult",
     "ScenarioSpec",
-    "SignalSchedule",
-    "SweepResult",
-    "Trajectory",
-    "TrajectoryValidationError",
-    "VEHICLE_VARIANTS",
     "VehicleParams",
     "battery_size_study",
-    "c_rate",
-    "crossing_allowed",
-    "decay_cost_rate",
-    "default_coefficient_table",
-    "evaluate_trajectory",
-    "hold_arc_cost",
-    "lifetime_ah_throughput",
     "load_config",
-    "load_coefficient_table",
-    "make_corridor",
-    "motion_arc_cost",
-    "next_green_onset",
-    "next_red_onset",
-    "optimize",
-    "phase_at",
-    "power_demand",
-    "recommend",
     "run_advisory_scenario",
-    "run_oracle_suite",
     "run_scenario",
-    "segment_energy",
-    "simulate_advised_driver",
-    "simulate_regular",
-    "soh_decay_rate",
-    "stopping_acceleration",
     "sweep",
-    "time_budget",
-    "verify_against_enumeration",
-    "wheel_power",
 ]

@@ -5,18 +5,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .baseline import (
-    RegularDriverRules,
-    _red_line_crossed,
-    _trim_last_step,
-    _visible_red_light,
-    stopping_acceleration,
-)
+from .baseline import RegularDriverRules, _drive, stopping_acceleration
 from .corridor import Corridor, Phase, SignalSchedule, next_green_onset, next_red_onset, phase_at
 from .powertrain import VehicleParams
-from .trajectory import Trajectory, from_samples
-
-_MAX_SIM_TIME_S = 3600.0
+from .trajectory import Trajectory
 
 
 class Action(Enum):
@@ -146,29 +138,21 @@ def simulate_advised_driver(
     The driver tracks the reaction-delayed recommendation with first-order
     dynamics plus a low-speed drift bias. A red stop line within sight
     overrides the advisory with a paced approach or the regular-driver
-    stopping rule. The vehicle never crosses on red: every step that reaches
-    a stop line reads its phase at the crossing instant, and a vehicle that
-    would cross on red is pinned at the line (flagged `emergency_stop` when it
-    was still moving). The step that overshoots the corridor end is redone as
-    a constant-acceleration partial step, as in the regular driver.
+    stopping rule. `_drive` integrates it, as it does the regular driver, and
+    keeps it off red.
     """
     d = d or DriverFollowingModel()
     cfg = cfg or AdvisoryConfig(speed_limit_m_s=c.speed_limit_m_s)
     rules = rules or RegularDriverRules()
     dt = rules.timestep_s
     limit = c.speed_limit_m_s
-    length = c.length_m
     update_dt = 1.0 / cfg.update_rate_hz
 
-    t, x, speed = 0.0, 0.0, limit
-    ts, xs, vs, accs = [t], [x], [speed], []
     issued: list[tuple[float, float]] = []  # (time issued, target)
     next_update = 0.0
-    emergency = False
 
-    while x < length:
-        if t > _MAX_SIM_TIME_S:
-            raise RuntimeError("advised-driver simulation did not terminate")
+    def policy(t: float, x: float, speed: float, seen) -> float:
+        nonlocal next_update
         if t >= next_update - 1e-9:
             adv = recommend(x, speed, t, c, cfg)
             issued.append((t, adv.target_speed_m_s))
@@ -183,26 +167,22 @@ def simulate_advised_driver(
         if target < d.drift_below_m_s:
             target = target + d.low_speed_drift_m_s
 
-        seen = _visible_red_light(c, x, t, rules.sight_distance_m)
-        holding = stopping = False
+        stopping = False
         if seen is not None:
             idx, gap = seen
             # unlike the regular driver, the advised one knows the signal
             # schedule: approach a visible red at the pace that reaches the
             # stop line exactly as it turns green; when that pace is a
-            # crawl, stopping and waiting is cheaper than inching forward
+            # crawl, stopping and waiting is cheaper than inching forward.
+            # Aim half a second past the onset: the discrete dynamics
+            # track the pace imperfectly, and reaching the line even a
+            # fraction early would force a full stop
             onset = next_green_onset(c.signals[idx], t)
-            if speed <= 0.25 and gap <= 1.0:
-                holding = True
+            pace = gap / max(onset + 0.5 - t, dt)
+            if pace < 2.0:
+                stopping = True
             else:
-                # aim half a second past the onset: the discrete dynamics
-                # track the pace imperfectly, and reaching the line even a
-                # fraction early would force a full stop
-                pace = gap / max(onset + 0.5 - t, dt)
-                if pace < 2.0:
-                    stopping = True
-                else:
-                    target = min(target, pace)
+                target = min(target, pace)
 
         # floor the tracking time constant at the simulation step so a
         # highly responsive driver settles on the target instead of
@@ -210,29 +190,8 @@ def simulate_advised_driver(
         # and full brake
         a = (target - speed) / max(d.speed_tracking_time_constant_s, dt)
         a = min(max(a, rules.decel_min_m_s2), rules.accel_max_m_s2)
-        if holding:
-            a = -speed / dt
-        elif stopping:
-            a = min(a, stopping_acceleration(speed, seen[1], rules))
+        if stopping:
+            a = min(a, stopping_acceleration(speed, gap, rules))
+        return a
 
-        v_new = min(max(speed + a * dt, 0.0), limit)
-        x_new = x + v_new * dt
-
-        line = None if holding else _red_line_crossed(c, t, x, x_new, v_new)
-        if line is not None:
-            emergency = emergency or v_new > 0.05
-            x_new, v_new, a = line, 0.0, -speed / dt
-
-        accs.append(a)
-        t += dt
-        x, speed = x_new, v_new
-        ts.append(t)
-        xs.append(x)
-        vs.append(speed)
-
-    _trim_last_step(ts, xs, vs, accs, length, limit)
-    accs.append(0.0)
-
-    traj = from_samples(ts, xs, vs, accs)
-    traj.emergency_stop = emergency
-    return traj
+    return _drive(c, rules, policy)

@@ -4,8 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .corridor import Corridor, Phase, phase_at
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
@@ -86,49 +84,38 @@ def stopping_acceleration(v: float, gap_m: float, rules: RegularDriverRules) -> 
     return max(-v * v / (2.0 * gap_m), rules.decel_min_m_s2)
 
 
-def simulate_regular(
-    c: Corridor, v: VehicleParams, r: RegularDriverRules | None = None
-) -> Trajectory:
-    """Closed-loop regular-driver simulation.
+def _drive(c: Corridor, rules: RegularDriverRules, policy) -> Trajectory:
+    """Closed-loop integrator shared by the regular and advised drivers.
 
-    Enters at the speed limit at t=0. Brakes at v^2/(2d) toward a red light
-    seen within the sight distance, holds at the line until green, otherwise
-    accelerates at the maximum rate toward the speed limit. Semi-implicit
+    Enters at the speed limit at t=0 and asks `policy(t, x, speed, seen)` for
+    an acceleration on every step, where `seen` is the red stop line within
+    sight, as `(signal index, gap)`, or None. A vehicle crawling at a red
+    line holds there until green, whatever the policy asked. Semi-implicit
     integration; never crosses a stop line on Red: every step that reaches a
-    stop line reads its phase at the crossing instant, and an emergency clamp
-    pins the vehicle at the line if the comfort-limited deceleration falls
-    short (flagged on the trajectory).
+    stop line reads its phase at the crossing instant, and a vehicle that
+    would cross on red is pinned at the line (flagged `emergency_stop` when
+    it was still moving). The step that overshoots the corridor end is redone
+    as a constant-acceleration partial step.
     """
-    r = r or RegularDriverRules()
-    dt = r.timestep_s
+    dt = rules.timestep_s
     limit = c.speed_limit_m_s
     length = c.length_m
 
-    t = 0.0
-    x = 0.0
-    speed = limit
+    t, x, speed = 0.0, 0.0, limit
     ts, xs, vs, accs = [t], [x], [speed], []
     emergency = False
 
     while x < length:
         if t > _MAX_SIM_TIME_S:
-            raise RuntimeError("regular-driver simulation did not terminate")
-        seen = _visible_red_light(c, x, t, r.sight_distance_m)
-        holding = False
-        if seen is not None:
-            idx, gap = seen
-            if speed <= 0.25 and gap <= 1.0:
-                # crawl has effectively converged; stand until green
-                a = -speed / dt
-                holding = True
-            else:
-                a = stopping_acceleration(speed, gap, r)
-        else:
-            a = min(r.accel_max_m_s2, (limit - speed) / dt) if speed < limit else 0.0
-            a = max(a, 0.0)
+            raise RuntimeError("driver simulation did not terminate")
+        seen = _visible_red_light(c, x, t, rules.sight_distance_m)
+        a = policy(t, x, speed, seen)
+        # crawl has effectively converged; stand until green
+        holding = seen is not None and speed <= 0.25 and seen[1] <= 1.0
+        if holding:
+            a = -speed / dt
 
-        v_new = max(speed + a * dt, 0.0)
-        v_new = min(v_new, limit)
+        v_new = min(max(speed + a * dt, 0.0), limit)
         x_new = x + v_new * dt
 
         line = None if holding else _red_line_crossed(c, t, x, x_new, v_new)
@@ -150,3 +137,25 @@ def simulate_regular(
     traj = from_samples(ts, xs, vs, accs)
     traj.emergency_stop = emergency
     return traj
+
+
+def simulate_regular(
+    c: Corridor, v: VehicleParams, r: RegularDriverRules | None = None
+) -> Trajectory:
+    """Closed-loop regular-driver simulation.
+
+    Brakes at v^2/(2d) toward a red light seen within the sight distance,
+    holds at the line until green, otherwise accelerates at the maximum rate
+    toward the speed limit; `_drive` integrates it and keeps it off red.
+    """
+    r = r or RegularDriverRules()
+    limit = c.speed_limit_m_s
+
+    def policy(t: float, x: float, speed: float, seen) -> float:
+        if seen is not None:
+            return stopping_acceleration(speed, seen[1], r)
+        if speed < limit:
+            return min(r.accel_max_m_s2, (limit - speed) / r.timestep_s)
+        return 0.0
+
+    return _drive(c, r, policy)

@@ -6,8 +6,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, override_cell
-from .dp import InfeasibleScenarioError, optimize
+from .config import ConfigError, load_config, override_cell
+from .dp import InfeasibleScenarioError
 from .report import (
     cell_basename,
     render_reports,

@@ -6,7 +6,6 @@ from pathlib import Path
 
 from .corridor import Corridor
 from .study import DecayComparisonResult, ScenarioResult, SweepResult
-from .trajectory import Trajectory
 
 SWEEP_HEADER = [
     "time_to_red_first_s", "time_to_red_second_s", "spacing_m",

@@ -66,10 +66,6 @@ class ScenarioSpec:
             green_s=self.green_s,
         )
 
-    @property
-    def cell_name(self) -> str:
-        return f"timing_{self.time_to_red_first_s:g}_{self.time_to_red_second_s:g}_s{self.spacing_m:g}"
-
 
 def evaluate_trajectory(
     traj: Trajectory,
@@ -139,9 +135,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     vp = spec.resolved_vehicle()
     bat = spec.resolved_battery()
     regular = simulate_regular(c, vp, spec.rules)
-    budget = regular.trip_time_s
-    if spec.grid.time_budget_mode == "buffered":
-        budget *= 1.0 + spec.grid.time_buffer_frac
+    budget = time_budget(regular.trip_time_s, spec.grid)
     try:
         res = optimize(c, vp, bat, spec.grid, spec.prices, spec.rules, budget_s=budget)
     except InfeasibleScenarioError:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.corridor import Phase, make_corridor, phase_at
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
@@ -75,9 +76,9 @@ def test_impossible_budget_raises():
 
 def test_budget_modes():
     c = make_corridor(500.0, 500.0, red_s=30.0, green_s=1000.0)
-    exact = time_budget(c, VehicleParams(), g=DpGridSpec())
+    exact = time_budget(simulate_regular(c, VehicleParams()).trip_time_s, DpGridSpec())
     buffered = time_budget(
-        c, VehicleParams(), g=DpGridSpec(time_budget_mode="buffered")
+        simulate_regular(c, VehicleParams()).trip_time_s, DpGridSpec(time_budget_mode="buffered")
     )
     assert buffered == pytest.approx(1.03 * exact)
 
