@@ -5,6 +5,13 @@ speed bin) pair. Time resolution is refined inside a speed band near the
 speed limit, which is what lets the solver track the feasibility boundary
 when the time budget is tight. Wait arcs (time advances at zero speed)
 exist only at stop-line nodes.
+
+A node's states are stored flat, speed-major: state (speed j, time bin tb)
+sits at ``offsets[j] + tb``. An arc's arrival bin depends only on the
+stage's grade and parity, so each (grade, parity) pair gets one plan per
+solve that lists every candidate arc grouped by destination state, and a
+stage is a gather, an add and a segment minimum over that plan. Ties between
+equal-cost arcs go to the lowest source speed, then the latest source bin.
 """
 from __future__ import annotations
 
@@ -15,12 +22,17 @@ import numpy as np
 
 from .baseline import RegularDriverRules, simulate_regular
 from .battery import BatteryModel
-from .corridor import Corridor, Phase, phase_at
+from .corridor import Corridor
 from .costs import ArcCost, CostBreakdown, Prices, hold_arc_cost, motion_arc_cost
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
 _EPS = 1e-9
+# Candidate arcs per numpy call in the forward pass. It bounds each stage
+# temporary to about 128 KiB of float64 whatever the grid size; at 2**16 the
+# temporaries left the allocator's heap for fresh pages, and the page faults
+# cost more time and memory than the extra calls at 2**14.
+_CHUNK = 1 << 14
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -112,6 +124,8 @@ class DpContext:
         self.n_t = np.array(
             [int(math.floor(allowed / d + 0.5)) + 1 for d in self.dt], dtype=int
         )
+        # flat state layout: speed j holds states offsets[j]:offsets[j + 1]
+        self.offsets = np.concatenate(([0], np.cumsum(self.n_t)))
 
         self.grade_by_stage = np.array(
             [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
@@ -181,17 +195,6 @@ class DpContext:
         u = np.mod(t - sig.time_to_red_s, sig.period_s)
         return u >= sig.red_s - 1e-12
 
-    def departure_allowed(self, node: int, t: float) -> bool:
-        sig_idx = self.stop_nodes.get(node)
-        if sig_idx is None:
-            return True
-        sig = self.corridor.signals[sig_idx]
-        m = self.grid.signal_margin_s
-        return (
-            phase_at(sig, t) is Phase.GREEN
-            and phase_at(sig, t - m) is Phase.GREEN
-        )
-
     @staticmethod
     def tie_eps(stage: int) -> float:
         """Nudge applied before rounding an arrival time to a bin.
@@ -202,6 +205,11 @@ class DpContext:
         alternating the tie direction by stage parity keeps the drift bounded.
         """
         return 1e-7 if stage % 2 == 0 else -1e-7
+
+    def unflatten(self, state: int) -> tuple[int, int]:
+        """(speed bin, time bin) of a flat state index."""
+        j = int(np.searchsorted(self.offsets, state, side="right")) - 1
+        return j, state - int(self.offsets[j])
 
     def arc_arrival_bin(self, t_from: float, dur: float, dest_speed: int, stage: int) -> int:
         return int(np.rint((t_from + dur) / self.dt[dest_speed] + self.tie_eps(stage)))
@@ -214,97 +222,96 @@ class DpResult:
     value: float            # objective of the optimal path (path-ordered sum)
     arrival_time_s: float   # binned arrival time at the exit node
     budget_s: float
-    states: list = field(default_factory=list)  # (node, time_bin, speed_bin) path
+    states: list = field(default_factory=list)  # (node, speed_bin, time_bin) path
 
 
-def _run_dp(ctx: DpContext, keep_predecessors: bool = True):
-    """Forward value recursion. Returns per-stage values and predecessors."""
-    n_v, top = ctx.n_v, ctx.top
-    vals = [np.full(ctx.n_t[j], np.inf) for j in range(n_v)]
-    vals[top][0] = 0.0
+def _build_plan(ctx: DpContext, stage: int) -> list[tuple[np.ndarray, ...]]:
+    """Every motion arc leaving a node of this stage's grade and parity.
 
-    preds = []
+    Candidates are grouped by destination state and, within a group, ordered
+    by source speed ascending, then source bin descending, so a group's first
+    minimum breaks cost ties toward the lowest source speed, then the latest
+    source bin. The plan is a list of chunks ``(src, pair, dest, starts,
+    sizes)`` of whole destination speeds, each closed once it holds
+    ``_CHUNK`` candidates: candidate ``c`` relaxes flat state ``src[c]`` at
+    cost ``cost.ravel()[pair[c]]``, and group ``g`` starts at ``starts[g]``,
+    holds ``sizes[g]`` candidates and lands on flat state ``dest[g]``.
+    """
+    dur = ctx.tables(stage)["dur"]
+    eps = ctx.tie_eps(stage)
+    pair_type = np.min_scalar_type(ctx.n_v * ctx.n_v)
+    plan, pending, n_pending = [], [], 0
+    for j, sources in enumerate(ctx.pair_sources(stage)):
+        dt_j, n_j = float(ctx.dt[j]), ctx.n_t[j]
+        for i in sources:
+            tb = np.arange(ctx.n_t[i] - 1, -1, -1)
+            dest = np.rint((tb * float(ctx.dt[i]) + dur[i, j]) / dt_j + eps).astype(np.int64)
+            ok = dest < n_j
+            n_ok = int(np.count_nonzero(ok))
+            pending.append((ctx.offsets[j] + dest[ok], ctx.offsets[i] + tb[ok],
+                            np.full(n_ok, i * ctx.n_v + j, dtype=pair_type)))
+            n_pending += n_ok
+        if n_pending and (n_pending >= _CHUNK or j == ctx.top):
+            dest, src, pair = map(np.concatenate, zip(*pending))
+            # stable, so sources keep their (speed ascending, bin descending) order
+            order = np.argsort(dest, kind="stable")
+            dest, src, pair = dest[order], src[order], pair[order]
+            starts = np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
+            sizes = np.diff(np.r_[starts, len(dest)])
+            plan.append((src.astype(np.int32), pair, dest[starts].astype(np.int32), starts, sizes))
+            pending, n_pending = [], 0
+    return plan
 
-    def new_pred_store():
-        return [
-            {
-                "v": np.full(ctx.n_t[j], -1, dtype=np.int16),
-                "t": np.full(ctx.n_t[j], -1, dtype=np.int32),
-                "wait": np.zeros(ctx.n_t[j], dtype=bool),
-            }
-            for j in range(n_v)
-        ]
 
-    pred0 = new_pred_store() if keep_predecessors else None
+def _relax(plan: list, vals: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stage of motion arcs: each state's minimum and its first argmin."""
+    new = np.full(len(vals), np.inf)
+    pred = np.full(len(vals), -1, dtype=np.int32)
+    for src, pair, dest, starts, sizes in plan:
+        cand = vals[src] + cost[pair]
+        best = np.minimum.reduceat(cand, starts)
+        # every group holds its own minimum (inf too), so the first hit at
+        # or after a group's start lies inside that group
+        hits = np.flatnonzero(cand == np.repeat(best, sizes))
+        new[dest] = best
+        pred[dest] = src[hits[np.searchsorted(hits, starts)]]
+    pred[np.isinf(new)] = -1
+    return new, pred
+
+
+def _run_dp(ctx: DpContext) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray]]:
+    """Forward value recursion over flat states.
+
+    Returns the exit node's values, each node's predecessors (the flat state
+    at the previous node, -1 where unreached) and, per stop-line node, a flag
+    per zero-speed time bin that is set where a wait arc gave the value.
+    """
+    vals = np.full(int(ctx.offsets[-1]), np.inf)
+    vals[ctx.offsets[ctx.top]] = 0.0
+    preds = [np.full(len(vals), -1, dtype=np.int32)]
+    waits: dict[int, np.ndarray] = {}
+    plans: dict[tuple[float, int], list] = {}
 
     for k in range(ctx.n_nodes - 1):
-        pred_k = pred0 if k == 0 else preds[-1]
-        # wait arcs at a stop-line node, applied on arrival before departure
         if k in ctx.stop_nodes:
-            v0 = vals[0]
+            # wait arcs at a stop-line node, applied on arrival before
+            # departure to the zero-speed states (the first n_t[0] flat
+            # states); each one extends the previous, so they run in order
             w = ctx.wait_cost.total_usd
-            for tb in range(1, len(v0)):
-                cand = v0[tb - 1] + w
-                if cand < v0[tb]:
-                    v0[tb] = cand
-                    if keep_predecessors:
-                        pred_k[0]["wait"][tb] = True
-
-        tab = ctx.tables(k)
-        srcs_by_dest = ctx.pair_sources(k)
-        cost, dur = tab["cost"], tab["dur"]
-        masks = [ctx.green_mask(k, i) for i in range(n_v)] if k in ctx.stop_nodes else None
-
-        new_vals = [np.full(ctx.n_t[j], np.inf) for j in range(n_v)]
-        pred_next = new_pred_store() if keep_predecessors else None
-
-        for j in range(n_v):
-            dt_j = float(ctx.dt[j])
-            n_j = ctx.n_t[j]
-            best = new_vals[j]
-            for i in srcs_by_dest[j]:
-                va = vals[i]
-                finite = np.isfinite(va)
-                if masks is not None:
-                    finite &= masks[i]
-                src_bins = np.nonzero(finite)[0]
-                if len(src_bins) == 0:
-                    continue
-                t_src = src_bins * float(ctx.dt[i])
-                dest = np.rint(
-                    (t_src + dur[i, j]) / dt_j + ctx.tie_eps(k)
-                ).astype(np.int64)
-                ok = dest < n_j
-                if not ok.all():
-                    src_bins = src_bins[ok]
-                    if len(src_bins) == 0:
-                        continue
-                    dest = dest[ok]
-                cand = va[src_bins] + cost[i, j]
-                # write candidates in descending cost so the pair minimum
-                # lands last on duplicate destination bins
-                order = np.argsort(-cand, kind="stable")
-                d2 = dest[order]
-                c2 = cand[order]
-                s2 = src_bins[order]
-                m = c2 < best[d2]
-                if not m.any():
-                    continue
-                d2, c2, s2 = d2[m], c2[m], s2[m]
-                best[d2] = c2
-                if keep_predecessors:
-                    pred_next[j]["v"][d2] = i
-                    pred_next[j]["t"][d2] = s2
-
-        vals = new_vals
-        if keep_predecessors:
-            if k == 0:
-                preds.append(pred0)
-            preds.append(pred_next)
-
-    if keep_predecessors and ctx.n_nodes == 1:
-        preds.append(pred0)
-    return vals, preds
+            waited = waits[k] = np.zeros(ctx.n_t[0], dtype=bool)
+            for tb in range(1, ctx.n_t[0]):
+                cand = vals[tb - 1] + w
+                if cand < vals[tb]:
+                    vals[tb] = cand
+                    waited[tb] = True
+            green = np.concatenate([ctx.green_mask(k, i) for i in range(ctx.n_v)])
+            vals = np.where(green, vals, np.inf)
+        key = (ctx.grade_by_stage[k], k % 2)
+        if key not in plans:
+            plans[key] = _build_plan(ctx, k)
+        vals, pred = _relax(plans[key], vals, ctx.tables(k)["cost"].ravel())
+        preds.append(pred)
+    return vals, preds, waits
 
 
 def _diagnose_infeasibility(ctx: DpContext) -> str:
@@ -334,8 +341,9 @@ def optimize(
         budget_s = time_budget(simulate_regular(c, v, rules).trip_time_s, g)
     ctx = DpContext(c, v, b, g, prices, budget_s)
 
-    vals, preds = _run_dp(ctx)
-    final = vals[ctx.top]
+    vals, preds, waits = _run_dp(ctx)
+    start = int(ctx.offsets[ctx.top])
+    final = vals[start:ctx.offsets[ctx.top + 1]]
     finite = np.isfinite(final)
     if not finite.any():
         binding = _diagnose_infeasibility(ctx)
@@ -346,20 +354,19 @@ def optimize(
 
     # backtrack
     path = []
-    k, j = ctx.n_nodes - 1, ctx.top
+    k, s = ctx.n_nodes - 1, start + tb
     while True:
+        j, tb = ctx.unflatten(s)
         path.append((k, j, tb))
-        if k == 0 and j == ctx.top and tb == 0:
+        if k == 0 and s == start:
             break
-        p = preds[k][j]
-        if p["wait"][tb]:
-            tb -= 1
+        if j == 0 and k in waits and waits[k][tb]:
+            s -= 1
             continue
-        pj = int(p["v"][tb])
-        pt = int(p["t"][tb])
-        if pj < 0:
+        s = int(preds[k][s])
+        if s < 0:
             raise AssertionError("broken predecessor chain")
-        k, j, tb = k - 1, pj, pt
+        k -= 1
     path.reverse()
 
     # Sample times come straight off the recursion's clock: each node is

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dp
 from .battery import BatteryModel
-from .corridor import Corridor, SignalSchedule
+from .corridor import Corridor, Phase, SignalSchedule, phase_at
 from .costs import ArcCost, Prices
 from .dp import _EPS, DpGridSpec, InfeasibleScenarioError
 from .powertrain import VehicleParams
@@ -33,6 +33,16 @@ class ArcOutcome:
     feasible: bool
     reason: str = ""
     arc: ArcCost | None = None
+
+
+def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
+    """Scalar restatement of the solver's green gate at a stop-line node."""
+    sig_idx = ctx.stop_nodes.get(node)
+    if sig_idx is None:
+        return True
+    sig = ctx.corridor.signals[sig_idx]
+    m = ctx.grid.signal_margin_s
+    return phase_at(sig, t) is Phase.GREEN and phase_at(sig, t - m) is Phase.GREEN
 
 
 def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> ArcOutcome:
@@ -70,7 +80,7 @@ def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> Arc
         return ArcOutcome(False, "arrival time does not match the time bin")
     if to_state.time_bin >= ctx.n_t[j]:
         return ArcOutcome(False, "time budget exceeded")
-    if not ctx.departure_allowed(from_state.stage, t_from):
+    if not _departure_allowed(ctx, from_state.stage, t_from):
         return ArcOutcome(False, "stop-line crossing on red")
     arc = ArcCost(
         dur,

@@ -1,5 +1,4 @@
 """Battery capacity-decay model tests."""
-import math
 
 import pytest
 

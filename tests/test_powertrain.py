@@ -1,5 +1,4 @@
 """Vehicle longitudinal power and segment-energy model tests."""
-import math
 
 import pytest
 
