@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .battery import BatteryModel, decay_cost_rate, soh_decay_rate
-from .powertrain import KinematicSegment, VehicleParams, power_demand, segment_energy
+from .powertrain import VehicleParams, power_demand
+from .trajectory import Trajectory
 
 J_PER_KWH = 3.6e6
 
@@ -30,22 +34,10 @@ class CostBreakdown:
     def total_usd(self) -> float:
         return self.electricity_usd + self.battery_usd
 
-    def __add__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.electricity_usd + other.electricity_usd,
-            self.battery_usd + other.battery_usd,
-            self.trip_time_s + other.trip_time_s,
-            self.energy_kwh + other.energy_kwh,
-            self.soh_delta + other.soh_delta,
-        )
 
-
-ZERO_COST = CostBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ArcCost:
-    """Bookkeeping for one constant-acceleration distance step."""
+class ArcCost(NamedTuple):
+    """Bookkeeping for one constant-acceleration interval (a tuple, since
+    every driver step builds one)."""
 
     duration_s: float
     power_w: float
@@ -59,6 +51,31 @@ class ArcCost:
         return self.electricity_usd + self.decay_usd
 
 
+def interval_cost(
+    v0: float,
+    v1: float,
+    duration_s: float,
+    grade: float,
+    vp: VehicleParams,
+    bat: BatteryModel,
+    prices: Prices,
+) -> ArcCost:
+    """Electricity + battery-decay cost of one constant-acceleration interval.
+
+    The one pricing rule for every trajectory: battery power is the demand
+    at the midpoint speed with a = (v1 - v0) / duration_s (zero at
+    standstill), held over duration_s.
+    """
+    power = 0.0
+    if v0 + v1 > 0.0:
+        power = power_demand(0.5 * (v0 + v1), (v1 - v0) / duration_s, grade, vp)
+    energy_j = power * duration_s
+    elec = prices.electricity_usd_per_kwh * energy_j / J_PER_KWH
+    soh = soh_decay_rate(power, bat) * duration_s
+    decay = decay_cost_rate(power, bat) * duration_s
+    return ArcCost(duration_s, power, energy_j, elec, decay, soh)
+
+
 def motion_arc_cost(
     v_start: float,
     v_end: float,
@@ -68,33 +85,22 @@ def motion_arc_cost(
     bat: BatteryModel,
     prices: Prices,
 ) -> ArcCost:
-    """Electricity + battery-decay cost of one distance step."""
-    duration, energy_j, power = segment_energy(
-        KinematicSegment(v_start, v_end, length_m, grade), vp
-    )
-    elec = prices.electricity_usd_per_kwh * energy_j / J_PER_KWH
-    soh = soh_decay_rate(power, bat) * duration
-    decay = decay_cost_rate(power, bat) * duration
-    return ArcCost(duration, power, energy_j, elec, decay, soh)
+    """Cost of one distance step over its constant-acceleration duration."""
+    duration = 2.0 * length_m / (v_start + v_end)
+    return interval_cost(v_start, v_end, duration, grade, vp, bat, prices)
 
 
-def hold_arc_cost(
-    duration_s: float,
-    idle_load_w: float,
-    bat: BatteryModel,
-    prices: Prices,
-) -> ArcCost:
-    """Cost of standing still (wait arc): auxiliary idle load only."""
-    energy_j = idle_load_w * duration_s
-    elec = prices.electricity_usd_per_kwh * energy_j / J_PER_KWH
-    soh = soh_decay_rate(idle_load_w, bat) * duration_s
-    decay = decay_cost_rate(idle_load_w, bat) * duration_s
-    return ArcCost(duration_s, idle_load_w, energy_j, elec, decay, soh)
-
-
-def step_power(v0: float, v1: float, dt: float, grade: float, vp: VehicleParams) -> float:
-    """Battery power over one time step, at midpoint speed."""
-    if v0 + v1 <= 0.0:
-        return 0.0
-    a = (v1 - v0) / dt
-    return power_demand(0.5 * (v0 + v1), a, grade, vp)
+def record_arcs(traj: Trajectory, arcs: list[ArcCost]) -> CostBreakdown:
+    """Write one priced arc per interval into the trajectory's power, energy
+    and SOH columns and return their sum, accumulated in trajectory order."""
+    elec = decay = 0.0
+    energy, soh = [0.0], [0.0]
+    for arc in arcs:
+        elec += arc.electricity_usd
+        decay += arc.decay_usd
+        energy.append(energy[-1] + arc.energy_j)
+        soh.append(soh[-1] + arc.soh_delta)
+    traj.p_batt = np.array([arc.power_w for arc in arcs] + [0.0])
+    traj.energy_cum = np.array(energy)
+    traj.soh_delta_cum = np.array(soh)
+    return CostBreakdown(elec, decay, traj.trip_time_s, energy[-1] / J_PER_KWH, soh[-1])

@@ -7,11 +7,13 @@ when the time budget is tight. Wait arcs (time advances at zero speed)
 exist only at stop-line nodes.
 
 A node's states are stored flat, speed-major: state (speed j, time bin tb)
-sits at ``offsets[j] + tb``. An arc's arrival bin depends only on the
-stage's grade and parity, so each (grade, parity) pair gets one plan per
-solve that lists every candidate arc grouped by destination state, and a
-stage is a gather, an add and a segment minimum over that plan. Ties between
-equal-cost arcs go to the lowest source speed, then the latest source bin.
+sits at ``offsets[j] + tb``. An arc's duration and feasibility do not depend
+on the grade, so its arrival bin depends only on the stage parity: each
+parity gets one plan per solve that lists every candidate arc grouped by
+destination state, and a stage is a gather, an add and a segment minimum
+over that plan, priced from the cost table of the stage's grade. Ties
+between equal-cost arcs go to the lowest source speed, then the latest
+source bin.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from .baseline import RegularDriverRules, simulate_regular
 from .battery import BatteryModel
 from .corridor import Corridor
-from .costs import ArcCost, CostBreakdown, Prices, hold_arc_cost, motion_arc_cost
+from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
@@ -52,7 +54,6 @@ class DpGridSpec:
     time_buffer_frac: float = 0.03
     accel_max_m_s2: float = 2.0
     decel_min_m_s2: float = -4.0
-    idle_load_w: float = 0.0
     signal_margin_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -130,23 +131,18 @@ class DpContext:
         self.grade_by_stage = np.array(
             [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
         )
-        self._tables: dict[float, dict[str, np.ndarray]] = {}
-        self._pairs: dict[float, list[np.ndarray]] = {}
-        for grade in sorted(set(self.grade_by_stage.tolist())):
-            self._build_tables(grade)
-        self.wait_cost = hold_arc_cost(float(self.dt[0]), grid.idle_load_w, battery, prices)
+        self._build_tables()
+        self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), 0.0, vehicle, battery, prices)
 
     # ------------------------------------------------------------------
-    def _build_tables(self, grade: float) -> None:
+    def _build_tables(self) -> None:
+        """Arc durations and feasible (source, destination) speed pairs,
+        which every stage shares, and one arc-cost table per grade."""
         g = self.grid
         n = self.n_v
-        cost = np.full((n, n), np.inf)
+        grades = sorted(set(self.grade_by_stage.tolist()))
+        costs = {grade: np.full((n, n), np.inf) for grade in grades}
         dur = np.full((n, n), np.nan)
-        elec = np.zeros((n, n))
-        decay = np.zeros((n, n))
-        soh = np.zeros((n, n))
-        energy = np.zeros((n, n))
-        power = np.zeros((n, n))
         srcs_by_dest: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             vi = float(self.speeds[i])
@@ -157,26 +153,21 @@ class DpContext:
                 a = (vj * vj - vi * vi) / (2.0 * self.dx)
                 if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
                     continue
-                arc = motion_arc_cost(vi, vj, self.dx, grade, self.vehicle, self.battery, self.prices)
-                cost[i, j] = arc.total_usd
+                for grade, cost in costs.items():
+                    arc = motion_arc_cost(vi, vj, self.dx, grade, self.vehicle, self.battery, self.prices)
+                    cost[i, j] = arc.total_usd
                 dur[i, j] = arc.duration_s
-                elec[i, j] = arc.electricity_usd
-                decay[i, j] = arc.decay_usd
-                soh[i, j] = arc.soh_delta
-                energy[i, j] = arc.energy_j
-                power[i, j] = arc.power_w
                 srcs_by_dest[j].append(i)
-        self._tables[grade] = {
-            "cost": cost, "dur": dur, "elec": elec, "decay": decay,
-            "soh": soh, "energy": energy, "power": power,
-        }
-        self._pairs[grade] = [np.array(s, dtype=int) for s in srcs_by_dest]
+        self._tables = {grade: {"cost": costs[grade], "dur": dur} for grade in grades}
+        self._pairs = [np.array(s, dtype=int) for s in srcs_by_dest]
 
     def tables(self, stage: int) -> dict[str, np.ndarray]:
+        """The stage's arc costs (by its grade) and the shared arc durations."""
         return self._tables[self.grade_by_stage[stage]]
 
     def pair_sources(self, stage: int) -> list[np.ndarray]:
-        return self._pairs[self.grade_by_stage[stage]]
+        """Feasible source speeds per destination speed; the same at every stage."""
+        return self._pairs
 
     # ------------------------------------------------------------------
     def green_mask(self, node: int, speed_idx: int) -> np.ndarray | None:
@@ -226,7 +217,7 @@ class DpResult:
 
 
 def _build_plan(ctx: DpContext, stage: int) -> list[tuple[np.ndarray, ...]]:
-    """Every motion arc leaving a node of this stage's grade and parity.
+    """Every motion arc leaving a node of this stage's parity.
 
     Candidates are grouped by destination state and, within a group, ordered
     by source speed ascending, then source bin descending, so a group's first
@@ -290,7 +281,7 @@ def _run_dp(ctx: DpContext) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.
     vals[ctx.offsets[ctx.top]] = 0.0
     preds = [np.full(len(vals), -1, dtype=np.int32)]
     waits: dict[int, np.ndarray] = {}
-    plans: dict[tuple[float, int], list] = {}
+    plans: dict[int, list] = {}
 
     for k in range(ctx.n_nodes - 1):
         if k in ctx.stop_nodes:
@@ -306,10 +297,9 @@ def _run_dp(ctx: DpContext) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.
                     waited[tb] = True
             green = np.concatenate([ctx.green_mask(k, i) for i in range(ctx.n_v)])
             vals = np.where(green, vals, np.inf)
-        key = (ctx.grade_by_stage[k], k % 2)
-        if key not in plans:
-            plans[key] = _build_plan(ctx, k)
-        vals, pred = _relax(plans[key], vals, ctx.tables(k)["cost"].ravel())
+        if k % 2 not in plans:
+            plans[k % 2] = _build_plan(ctx, k)
+        vals, pred = _relax(plans[k % 2], vals, ctx.tables(k)["cost"].ravel())
         preds.append(pred)
     return vals, preds, waits
 
@@ -372,39 +362,28 @@ def optimize(
     # Sample times come straight off the recursion's clock: each node is
     # stamped with its time bin, so the emitted trajectory satisfies the
     # same signal and budget checks the search performed.  Each interval
-    # sits within half a bin of the constant-acceleration duration.
-    ts, xs, vs, accs = [0.0], [0.0], [float(ctx.speeds[ctx.top])], []
-    elec = decay = energy = soh = 0.0
+    # sits within half a bin of the constant-acceleration duration, over
+    # which its arc is priced, as in the search.
+    ts, xs, vs, accs, arcs = [0.0], [0.0], [float(ctx.speeds[ctx.top])], [], []
     for (k0, j0, t0), (k1, j1, t1) in zip(path, path[1:]):
+        v0, v1 = float(ctx.speeds[j0]), float(ctx.speeds[j1])
         if k1 == k0:  # wait arc
-            arc = ctx.wait_cost
-            a = 0.0
+            arcs.append(ctx.wait_cost)
+            accs.append(0.0)
         else:
-            tab = ctx.tables(k0)
-            arc = ArcCost(
-                float(tab["dur"][j0, j1]),
-                float(tab["power"][j0, j1]),
-                float(tab["energy"][j0, j1]),
-                float(tab["elec"][j0, j1]),
-                float(tab["decay"][j0, j1]),
-                float(tab["soh"][j0, j1]),
-            )
-            a = (float(ctx.speeds[j1]) ** 2 - float(ctx.speeds[j0]) ** 2) / (2.0 * ctx.dx)
-        elec += arc.electricity_usd
-        decay += arc.decay_usd
-        energy += arc.energy_j
-        soh += arc.soh_delta
-        accs.append(a)
+            grade = float(ctx.grade_by_stage[k0])
+            arcs.append(motion_arc_cost(v0, v1, ctx.dx, grade, v, b, prices))
+            accs.append((v1 ** 2 - v0 ** 2) / (2.0 * ctx.dx))
         ts.append(t1 * float(ctx.dt[j1]))
         xs.append(k1 * ctx.dx)
-        vs.append(float(ctx.speeds[j1]))
+        vs.append(v1)
     accs.append(0.0)
 
     arrival_bin_time = path[-1][2] * float(ctx.dt[ctx.top])
     traj = from_samples(ts, xs, vs, accs, time_quantization_s=g.time_step_s)
     traj.notes["arrival_time_bin_s"] = arrival_bin_time
     traj.notes["budget_s"] = budget_s
-    breakdown = CostBreakdown(elec, decay, arrival_bin_time, energy / 3.6e6, soh)
+    breakdown = record_arcs(traj, arcs)
     return DpResult(
         trajectory=traj,
         breakdown=breakdown,

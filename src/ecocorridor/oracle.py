@@ -3,8 +3,8 @@
 Generates small corridors and coarse grids where every feasible path can be
 enumerated, then checks that dynamic programming finds exactly the same
 minimum. The enumeration checks each arc with `transition`, a scalar
-restatement of the solver's arc rules. Both sides share one arc-cost
-function, so agreement is exact. The solver is reached as `dp.optimize` and
+restatement of the solver's arc rules. Both sides read the solver's arc-cost
+tables, so agreement is exact. The solver is reached as `dp.optimize` and
 `dp.DpContext`, so wrappers placed on the `dp` module see the oracle's
 solves too."""
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import dp
 from .battery import BatteryModel
 from .corridor import Corridor, Phase, SignalSchedule, phase_at
-from .costs import ArcCost, Prices
+from .costs import Prices
 from .dp import _EPS, DpGridSpec, InfeasibleScenarioError
 from .powertrain import VehicleParams
 
@@ -32,7 +32,7 @@ class DpState:
 class ArcOutcome:
     feasible: bool
     reason: str = ""
-    arc: ArcCost | None = None
+    cost_usd: float = 0.0
 
 
 def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
@@ -61,7 +61,7 @@ def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> Arc
             return ArcOutcome(False, "wait arcs advance exactly one time bin")
         if to_state.time_bin >= ctx.n_t[0]:
             return ArcOutcome(False, "time budget exceeded")
-        return ArcOutcome(True, arc=ctx.wait_cost)
+        return ArcOutcome(True, cost_usd=ctx.wait_cost.total_usd)
 
     if to_state.stage != from_state.stage + 1:
         return ArcOutcome(False, "arcs advance exactly one stage")
@@ -82,15 +82,7 @@ def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> Arc
         return ArcOutcome(False, "time budget exceeded")
     if not _departure_allowed(ctx, from_state.stage, t_from):
         return ArcOutcome(False, "stop-line crossing on red")
-    arc = ArcCost(
-        dur,
-        float(tab["power"][i, j]),
-        float(tab["energy"][i, j]),
-        float(tab["elec"][i, j]),
-        float(tab["decay"][i, j]),
-        float(tab["soh"][i, j]),
-    )
-    return ArcOutcome(True, arc=arc)
+    return ArcOutcome(True, cost_usd=float(tab["cost"][i, j]))
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -119,7 +111,7 @@ def _enumerate_min(ctx: dp.DpContext, max_paths: int) -> tuple[float | None, lis
             out = transition(state, wait_to, ctx)
             if out.feasible:
                 path.append((k, 0, tb + 1))
-                recurse(k, 0, tb + 1, acc + out.arc.total_usd, path)
+                recurse(k, 0, tb + 1, acc + out.cost_usd, path)
                 path.pop()
         tab = ctx.tables(k)
         for j2 in range(ctx.n_v):
@@ -131,7 +123,7 @@ def _enumerate_min(ctx: dp.DpContext, max_paths: int) -> tuple[float | None, lis
             if not out.feasible:
                 continue
             path.append((k + 1, j2, tb2))
-            recurse(k + 1, j2, tb2, acc + out.arc.total_usd, path)
+            recurse(k + 1, j2, tb2, acc + out.cost_usd, path)
             path.pop()
 
     recurse(0, ctx.top, 0, 0.0, [(0, ctx.top, 0)])
@@ -149,7 +141,7 @@ def verify_against_enumeration(
 ) -> dict:
     """Compare DP against exhaustive path enumeration on a small grid.
 
-    Both sides share the arc-cost function and must agree exactly.
+    Both sides read the same arc-cost tables and must agree exactly.
     """
     prices = prices or Prices()
     ctx = dp.DpContext(c, v, b, tiny_grid, prices, budget_s)

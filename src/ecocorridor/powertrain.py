@@ -1,4 +1,4 @@
-"""Longitudinal EV power model and segment energy integration."""
+"""Longitudinal EV power model: road load and battery-side power demand."""
 from __future__ import annotations
 
 import math
@@ -40,26 +40,6 @@ class VehicleParams:
         return self.eff_trans * self.eff_motor * self.eff_inverter
 
 
-@dataclass(frozen=True)
-class KinematicSegment:
-    """Constant-acceleration distance step used for energy integration."""
-
-    v_start_m_s: float
-    v_end_m_s: float
-    length_m: float
-    grade: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.v_start_m_s < 0.0 or self.v_end_m_s < 0.0:
-            raise ValueError("segment speeds must be >= 0")
-        if self.length_m <= 0.0:
-            raise ValueError("segment length must be > 0")
-
-
-class ZeroDurationSegmentError(ValueError):
-    """Both endpoint speeds are zero: the segment has no finite duration."""
-
-
 def wheel_power(v: float, a: float, grade: float, p: VehicleParams) -> float:
     """Tractive power at the wheels (signed, W)."""
     theta = math.atan(grade)
@@ -89,27 +69,3 @@ def power_demand(v: float, a: float, grade: float, p: VehicleParams) -> float:
     if not p.regen_enabled:
         return 0.0
     return max(p_w * p.eff_chain, -p.regen_power_cap_w)
-
-
-def segment_energy(seg: KinematicSegment, p: VehicleParams) -> tuple[float, float, float]:
-    """Return (duration s, battery energy J, mean battery power W) for a segment.
-
-    Acceleration is implied by the endpoint speeds over the segment length;
-    power is evaluated at the midpoint speed, which is exact for constant
-    speed and second-order accurate otherwise.
-    """
-    v0, v1, dx = seg.v_start_m_s, seg.v_end_m_s, seg.length_m
-    if v0 + v1 <= 0.0:
-        raise ZeroDurationSegmentError(
-            "segment with v_start = v_end = 0 has no finite duration"
-        )
-    a = (v1 * v1 - v0 * v0) / (2.0 * dx)
-    duration = 2.0 * dx / (v0 + v1)
-    v_mid = 0.5 * (v0 + v1)
-    power = power_demand(v_mid, a, seg.grade, p)
-    return duration, power * duration, power
-
-
-def segment_acceleration(v_start: float, v_end: float, length_m: float) -> float:
-    """Constant acceleration implied by endpoint speeds over a distance."""
-    return (v_end * v_end - v_start * v_start) / (2.0 * length_m)

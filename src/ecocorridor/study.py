@@ -7,9 +7,9 @@ import numpy as np
 
 from .advisory import AdvisoryConfig, DriverFollowingModel, simulate_advised_driver
 from .baseline import RegularDriverRules, simulate_regular
-from .battery import BatteryModel, decay_cost_rate, soh_decay_rate
-from .corridor import Corridor, make_corridor
-from .costs import CostBreakdown, J_PER_KWH, Prices, step_power
+from .battery import BatteryModel
+from .corridor import Corridor, GradeProfile, make_corridor
+from .costs import CostBreakdown, Prices, interval_cost, record_arcs
 from .dp import DpGridSpec, DpResult, InfeasibleScenarioError, optimize, time_budget
 from .powertrain import VehicleParams
 from .trajectory import Trajectory
@@ -72,30 +72,23 @@ def evaluate_trajectory(
     v: VehicleParams,
     b: BatteryModel,
     prices: Prices | None = None,
-    grade: float = 0.0,
+    grade_profile: GradeProfile | None = None,
 ) -> CostBreakdown:
-    """Integrate electricity and decay cost over a trajectory.
+    """Price a driven trajectory step by step with `costs.interval_cost`,
+    each step at the grade of its midpoint position (flat by default).
 
     Fills the trajectory's power/energy/SOH columns in place; idempotent.
     """
     prices = prices or Prices()
+    grade_profile = grade_profile or GradeProfile()
     traj.validate()
-    n = len(traj)
-    elec = decay = energy = soh = 0.0
-    traj.p_batt = np.zeros(n)
-    traj.energy_cum = np.zeros(n)
-    traj.soh_delta_cum = np.zeros(n)
-    for k in range(n - 1):
-        dt = float(traj.t[k + 1] - traj.t[k])
-        p = step_power(float(traj.v[k]), float(traj.v[k + 1]), dt, grade, v)
-        traj.p_batt[k] = p
-        energy += p * dt
-        elec += prices.electricity_usd_per_kwh * p * dt / J_PER_KWH
-        soh += soh_decay_rate(p, b) * dt
-        decay += decay_cost_rate(p, b) * dt
-        traj.energy_cum[k + 1] = energy
-        traj.soh_delta_cum[k + 1] = soh
-    return CostBreakdown(elec, decay, traj.trip_time_s, energy / J_PER_KWH, soh)
+    t, x, speed = traj.t.tolist(), traj.x.tolist(), traj.v.tolist()
+    arcs = [
+        interval_cost(speed[k], speed[k + 1], t[k + 1] - t[k],
+                      grade_profile.at(0.5 * (x[k] + x[k + 1])), v, b, prices)
+        for k in range(len(traj) - 1)
+    ]
+    return record_arcs(traj, arcs)
 
 
 @dataclass
@@ -141,11 +134,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     except InfeasibleScenarioError:
         fine = replace(spec.grid, speed_step_m_s=spec.grid.speed_step_m_s / 2.0)
         res = optimize(c, vp, bat, fine, spec.prices, spec.rules, budget_s=budget)
-    regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices)
-    # the DP breakdown is the eco cost; evaluating its trajectory matches it
-    eco_cost = res.breakdown
-    evaluate_trajectory(res.trajectory, vp, bat, spec.prices)
-    return ScenarioResult(spec, regular, res.trajectory, regular_cost, eco_cost, budget, res)
+    regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile)
+    # the optimizer prices its plan arc by arc and fills the eco columns
+    return ScenarioResult(spec, regular, res.trajectory, regular_cost, res.breakdown, budget, res)
 
 
 @dataclass
@@ -206,7 +197,7 @@ def _run_cell(spec: ScenarioSpec) -> SweepCell:
     timing = (spec.time_to_red_first_s, spec.time_to_red_second_s)
     try:
         return SweepCell(timing, spec.spacing_m, run_scenario(spec))
-    except Exception as exc:  # scenario failures are recorded, not fatal
+    except InfeasibleScenarioError as exc:  # recorded; any other error is a crash
         return SweepCell(timing, spec.spacing_m, None, error=str(exc))
 
 
@@ -241,9 +232,12 @@ class DecayComparisonCell:
 
 @dataclass
 class DecayComparisonResult:
-    """Battery-size study: SOH decay reduction of the larger pack."""
+    """Battery-size study: SOH decay reduction of the larger pack, plus the
+    two pack sweeps it compares."""
 
     cells: list[DecayComparisonCell]
+    small: SweepResult
+    large: SweepResult
 
     def average(self, column: str) -> float:
         vals = [
@@ -286,7 +280,7 @@ def battery_size_study(
                 red(cs.result.eco_cost, cl.result.eco_cost),
             )
         )
-    return DecayComparisonResult(cells)
+    return DecayComparisonResult(cells, small, large)
 
 
 def run_advisory_scenario(
@@ -305,7 +299,7 @@ def run_advisory_scenario(
     return {
         "regular": regular,
         "advised": advised,
-        "regular_cost": evaluate_trajectory(regular, vp, bat, spec.prices),
-        "advised_cost": evaluate_trajectory(advised, vp, bat, spec.prices),
+        "regular_cost": evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile),
+        "advised_cost": evaluate_trajectory(advised, vp, bat, spec.prices, c.grade_profile),
         "log": log,
     }

@@ -20,8 +20,10 @@ class Trajectory:
     """Time-stamped (distance, speed, acceleration) samples.
 
     `a[k]` is the constant acceleration over the interval [t[k], t[k+1]);
-    the last entry is zero. Power/energy/SOH columns are filled in by the
-    cost evaluator and start out as zeros.
+    the last entry is zero. The power/energy/SOH columns start out as zeros
+    and are filled by `costs.record_arcs`: `dp.optimize` fills a plan's from
+    the arcs it sums into its breakdown, `study.evaluate_trajectory` a
+    driver's from its time steps.
     """
 
     t: np.ndarray

@@ -15,11 +15,13 @@ from ecocorridor.battery import lifetime_ah_throughput, soh_decay_rate
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.config import load_config
 from ecocorridor.corridor import crossing_allowed
+from ecocorridor.costs import J_PER_KWH
 from ecocorridor.dp import InfeasibleScenarioError
 from ecocorridor.oracle import run_oracle_suite
 from ecocorridor.powertrain import power_demand
 from ecocorridor.report import write_sweep_csv
 from ecocorridor.study import (
+    battery_size_study,
     evaluate_trajectory,
     run_advisory_scenario,
     run_scenario,
@@ -28,8 +30,6 @@ from ecocorridor.study import (
 from ecocorridor.trajectory import from_samples
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-J_PER_KWH = 3.6e6
 
 
 def _report(num: int, name: str, failures: list[str], detail: str = "") -> None:
@@ -55,15 +55,8 @@ def main_sweep(paper_cfg):
 @pytest.fixture(scope="session")
 def pack_sweeps(paper_cfg):
     """Standard and long-range pack sweeps at the high decay rate."""
-    base = replace(paper_cfg.base, decay_multiplier=10.0)
-    out = {}
-    for variant in ("standard", "long_range"):
-        out[variant] = sweep(
-            replace(base, variant=variant),
-            paper_cfg.timings_s,
-            paper_cfg.spacings_m,
-        )
-    return out
+    study = battery_size_study(paper_cfg.base, paper_cfg.timings_s, paper_cfg.spacings_m)
+    return {"standard": study.small, "long_range": study.large}
 
 
 def _reduction(res, x, y, s) -> float:

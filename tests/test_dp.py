@@ -8,7 +8,7 @@ from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.corridor import GradeProfile, Phase, make_corridor, phase_at
-from ecocorridor.costs import Prices
+from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.oracle import run_oracle_suite
 from ecocorridor.powertrain import VehicleParams
@@ -177,14 +177,21 @@ def _reference_forward_pass(ctx):
     return vals, preds
 
 
-def _paper_cell_context(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=False):
-    """Solver context of a paper-sweep cell, built as `run_scenario` builds it."""
+def _paper_cell(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=False):
+    """Corridor, vehicle, grid and budget of a paper-sweep cell, built as
+    `run_scenario` builds them."""
     c = make_corridor(x, y, spacing_m=spacing, exit_buffer_m=200.0)
     if grade_profile is not None:
         c = replace(c, grade_profile=grade_profile)
     vp = VehicleParams(regen_enabled=regen)
     g = DpGridSpec(time_budget_mode="buffered", speed_step_m_s=speed_step_m_s)
     budget = time_budget(simulate_regular(c, vp).trip_time_s, g)
+    return c, vp, g, budget
+
+
+def _paper_cell_context(*args, **kwargs):
+    """Solver context of a paper-sweep cell, built as `run_scenario` builds it."""
+    c, vp, g, budget = _paper_cell(*args, **kwargs)
     return dp.DpContext(c, vp, BatteryModel(), g, Prices(), budget)
 
 
@@ -225,8 +232,43 @@ def test_forward_pass_matches_reference_on_halved_speed_step():
 
 
 def test_forward_pass_matches_reference_on_two_grades():
-    # each grade gets its own plans and prices its stages from its own table
+    # both grades share the plans; only the cost table follows the grade
     grades = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
     ctx = _paper_cell_context(15.0, 0.0, 200.0, grade_profile=grades)
     assert len(set(ctx.grade_by_stage.tolist())) == 2
     _assert_matches_reference(ctx)
+
+
+@pytest.mark.parametrize(
+    "x, y, spacing, regen, waits",
+    [
+        (15.0, 15.0, 800.0, False, False),
+        # wait arcs win zero-speed bins at both lines, but the plan never stops
+        (-30.0, 0.0, 200.0, True, False),
+        # the plan itself waits at a stop line
+        (0.0, 0.0, 200.0, True, True),
+    ],
+)
+def test_eco_columns_are_the_breakdown(x, y, spacing, regen, waits):
+    # the plan's power, energy and SOH columns hold the arcs the breakdown
+    # sums, so their last rows are the breakdown itself
+    c, vp, g, budget = _paper_cell(x, y, spacing, regen=regen)
+    bat, prices = BatteryModel(), Prices()
+    res = optimize(c, vp, bat, g, prices, budget_s=budget)
+    traj = res.trajectory
+    assert any(a[0] == b[0] for a, b in zip(res.states, res.states[1:])) == waits
+    assert traj.energy_cum[-1] / J_PER_KWH == res.breakdown.energy_kwh
+    assert traj.soh_delta_cum[-1] == res.breakdown.soh_delta
+    elec = 0.0
+    for k in range(len(traj) - 1):
+        x0, x1 = float(traj.x[k]), float(traj.x[k + 1])
+        v0, v1 = float(traj.v[k]), float(traj.v[k + 1])
+        if x1 > x0:
+            arc = motion_arc_cost(v0, v1, x1 - x0, c.grade_profile.at(0.5 * (x0 + x1)),
+                                  vp, bat, prices)
+        else:
+            arc = interval_cost(0.0, 0.0, g.time_step_s, 0.0, vp, bat, prices)
+        assert traj.p_batt[k] == arc.power_w
+        elec += arc.electricity_usd
+    assert elec == res.breakdown.electricity_usd
+    assert res.breakdown.trip_time_s == traj.trip_time_s == res.arrival_time_s

@@ -1,15 +1,10 @@
-"""Vehicle longitudinal power and segment-energy model tests."""
+"""Vehicle longitudinal power and arc-energy model tests."""
 
 import pytest
 
-from ecocorridor.powertrain import (
-    KinematicSegment,
-    VehicleParams,
-    power_demand,
-    segment_acceleration,
-    segment_energy,
-    wheel_power,
-)
+from ecocorridor.battery import BatteryModel
+from ecocorridor.costs import Prices, motion_arc_cost
+from ecocorridor.powertrain import VehicleParams, power_demand, wheel_power
 
 
 def test_default_parameters():
@@ -78,30 +73,18 @@ def test_regen_less_than_wheel_power():
 def test_segment_duration_and_energy():
     # 100 m cruise at the speed limit: duration 100/24.583, energy P*t
     p = VehicleParams()
-    seg = KinematicSegment(24.583, 24.583, 100.0)
-    duration, energy, mean_power = segment_energy(seg, p)
-    assert duration == pytest.approx(100.0 / 24.583)
-    assert energy == pytest.approx(power_demand(24.583, 0.0, 0.0, p) * duration, rel=1e-9)
-    assert mean_power == pytest.approx(energy / duration)
+    arc = motion_arc_cost(24.583, 24.583, 100.0, 0.0, p, BatteryModel(), Prices())
+    assert arc.duration_s == pytest.approx(100.0 / 24.583)
+    assert arc.energy_j == pytest.approx(
+        power_demand(24.583, 0.0, 0.0, p) * arc.duration_s, rel=1e-9
+    )
+    assert arc.power_w == pytest.approx(arc.energy_j / arc.duration_s)
 
 
 def test_segment_energy_closed_form_relative():
     # constant-speed arc must match P*L/v to high precision
     p = VehicleParams()
     for v in (5.0, 12.0, 20.0, 24.583):
-        seg = KinematicSegment(v, v, 50.0)
-        duration, energy, _ = segment_energy(seg, p)
+        arc = motion_arc_cost(v, v, 50.0, 0.0, p, BatteryModel(), Prices())
         expected = power_demand(v, 0.0, 0.0, p) * 50.0 / v
-        assert abs(energy - expected) / expected < 1e-9
-
-
-def test_segment_acceleration_sign():
-    assert segment_acceleration(10.0, 14.0, 48.0) == pytest.approx(1.0)
-    assert segment_acceleration(14.0, 10.0, 48.0) == pytest.approx(-1.0)
-
-
-def test_zero_duration_segment_rejected():
-    from ecocorridor.powertrain import ZeroDurationSegmentError
-
-    with pytest.raises(ZeroDurationSegmentError):
-        segment_energy(KinematicSegment(0.0, 0.0, 10.0), VehicleParams())
+        assert abs(arc.energy_j - expected) / expected < 1e-9

@@ -9,7 +9,11 @@ from ecocorridor.report import (
     write_decay_comparison_csv,
     write_sweep_csv,
 )
-from ecocorridor.dp import DpGridSpec
+from ecocorridor import study
+from ecocorridor.baseline import simulate_regular
+from ecocorridor.corridor import GradeProfile
+from ecocorridor.costs import interval_cost
+from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError
 from ecocorridor.powertrain import VehicleParams
 from ecocorridor.study import (
     ScenarioSpec,
@@ -18,6 +22,9 @@ from ecocorridor.study import (
     run_scenario,
     sweep,
 )
+
+# +2% before 300 m, -1% after
+SLOPES = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +118,66 @@ def test_battery_size_study_small(base_spec, tmp_path):
     assert cell.regular_reduction_pct > 0.0
     assert cell.eco_reduction_pct > 0.0
     assert res.average("regular") == pytest.approx(cell.regular_reduction_pct)
+    # the two pack sweeps the cells compare are kept on the result
+    small, large = res.small.cells[0].result, res.large.cells[0].result
+    assert small.spec.variant == "standard" and large.spec.variant == "long_range"
+    assert small.spec.decay_multiplier == large.spec.decay_multiplier == 10.0
+    sa, sb = abs(small.regular_cost.soh_delta), abs(large.regular_cost.soh_delta)
+    assert cell.regular_reduction_pct == 100.0 * (sa - sb) / sa
     path = write_decay_comparison_csv(res, tmp_path / "decay.csv")
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+def test_evaluate_trajectory_prices_each_step_at_its_grade(base_spec):
+    spec = replace(base_spec, time_to_red_second_s=0.0, spacing_m=200.0)
+    c = replace(spec.corridor(), grade_profile=SLOPES)
+    vp, bat = spec.resolved_vehicle(), spec.resolved_battery()
+    traj = simulate_regular(c, vp, spec.rules)
+    cost = evaluate_trajectory(traj, vp, bat, spec.prices, c.grade_profile)
+    elec = decay = energy = soh = 0.0
+    for k in range(len(traj) - 1):
+        x_mid = 0.5 * float(traj.x[k] + traj.x[k + 1])
+        arc = interval_cost(float(traj.v[k]), float(traj.v[k + 1]),
+                            float(traj.t[k + 1] - traj.t[k]), SLOPES.at(x_mid),
+                            vp, bat, spec.prices)
+        assert traj.p_batt[k] == arc.power_w
+        elec += arc.electricity_usd
+        decay += arc.decay_usd
+        energy += arc.energy_j
+        soh += arc.soh_delta
+    assert (cost.electricity_usd, cost.battery_usd, cost.soh_delta) == (elec, decay, soh)
+    assert traj.energy_cum[-1] == energy
+    flat = evaluate_trajectory(traj, vp, bat, spec.prices)
+    assert flat.total_usd != pytest.approx(cost.total_usd, rel=1e-3)
+
+
+def test_run_scenario_prices_the_regular_trip_on_the_corridor_grade(base_spec, monkeypatch):
+    spec = replace(base_spec, time_to_red_second_s=0.0, spacing_m=200.0)
+    flat_corridor = ScenarioSpec.corridor
+    monkeypatch.setattr(
+        ScenarioSpec, "corridor", lambda self: replace(flat_corridor(self), grade_profile=SLOPES)
+    )
+    res = run_scenario(spec)
+    vp, bat = spec.resolved_vehicle(), spec.resolved_battery()
+    graded = evaluate_trajectory(res.regular, vp, bat, spec.prices, SLOPES)
+    flat = evaluate_trajectory(res.regular, vp, bat, spec.prices)
+    assert res.regular_cost == graded
+    assert res.regular_cost.total_usd != pytest.approx(flat.total_usd, rel=1e-3)
+
+
+def test_sweep_records_infeasible_cells_and_raises_on_crashes(base_spec, monkeypatch):
+    def infeasible(spec):
+        raise InfeasibleScenarioError("no feasible eco trajectory: test", binding="test")
+
+    monkeypatch.setattr(study, "run_scenario", infeasible)
+    res = sweep(base_spec, timings_s=(15.0,), spacings_m=(400.0,))
+    assert res.cells[0].result is None
+    assert res.cells[0].error == "no feasible eco trajectory: test"
+
+    def crash(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(study, "run_scenario", crash)
+    with pytest.raises(RuntimeError, match="boom"):
+        sweep(base_spec, timings_s=(15.0,), spacings_m=(400.0,))
