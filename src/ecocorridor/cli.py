@@ -14,11 +14,13 @@ from .report import (
     render_scenario_svg,
     write_trajectories,
 )
-from .study import run_advisory_scenario, run_scenario, sweep
+from .study import ScenarioResult, run_advisory_scenario, run_scenario, sweep
+from .trajectory import ClockAudit, audit_arc_clock, check_safety
 
 OUT_DIR_ENV = "ECOCORRIDOR_OUT"
 
 EXIT_OK = 0
+EXIT_FAILED = 1  # a verify mismatch or a safety violation
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 
@@ -64,11 +66,19 @@ def _out_dir(args) -> Path:
     return Path(args.out) if args.out else _default_out()
 
 
+def _audit(r: ScenarioResult) -> ClockAudit:
+    return audit_arc_clock(r.eco, r.spec.corridor(), r.spec.grid, r.budget_s)
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     timing = tuple(args.timing) if args.timing else None
     spec = override_cell(cfg, timing, args.spacing)
     result = run_scenario(spec)
+    c = spec.corridor()
+    unsafe = [f"regular: {m}" for m in check_safety(result.regular, c, spec.rules)]
+    unsafe += [f"eco: {m}" for m in check_safety(result.eco, c, spec.grid, result.budget_s)]
+    audit = _audit(result)
     out = _out_dir(args)
     paths = write_trajectories(result, out)
     paths.append(render_scenario_svg(
@@ -80,9 +90,14 @@ def _cmd_run(args) -> int:
         f"eco ${result.eco_cost.total_usd:.4f}  "
         f"reduction {result.reduction_pct:.1f}%"
     )
+    print(f"arc-clock audit: worst drift {audit.drift_s:.2f} s, arrival "
+          f"{audit.late_s:+.2f} s against budget + margin; "
+          + ("; ".join(audit.violations) or "no violations"))
     for p in paths:
         print(f"wrote {p}")
-    return EXIT_OK
+    for m in unsafe:
+        print(f"safety violation: {m}", file=sys.stderr)
+    return EXIT_FAILED if unsafe else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -92,6 +107,14 @@ def _cmd_sweep(args) -> int:
     paths = render_reports(res, out)
     print(f"cells: {len(res.cells)}  "
           f"average reduction {res.grand_average_reduction_pct:.1f}%")
+    audits = [_audit(c.result) for c in res.cells if c.result is not None]
+    if audits:
+        red = sum(any("on red" in m for m in a.violations) for a in audits)
+        late = sum(a.late_s > 0.0 for a in audits)
+        print(f"arc-clock audit: {red} of {len(audits)} plans cross on red, "
+              f"{late} of {len(audits)} arrive after budget + margin "
+              f"(worst {max(a.late_s for a in audits):+.2f} s), "
+              f"worst drift {max(a.drift_s for a in audits):.2f} s")
     print(f"wrote {paths[0]} and {len(paths) - 1} per-cell files under {out}")
     failed = [c for c in res.cells if c.result is None]
     for c in failed:
@@ -125,7 +148,7 @@ def _cmd_verify(args) -> int:
         print(line)
     if report.failures:
         print(f"FAILED: {report.failures} of {report.cases} cases disagree")
-        return 1
+        return EXIT_FAILED
     print(f"ok: optimizer matches enumeration on all {report.cases} cases")
     return EXIT_OK
 

@@ -66,6 +66,10 @@ class DpGridSpec:
             raise ValueError("time_buffer_frac must be in [0, 0.1]")
         if self.time_budget_mode not in ("exact", "buffered"):
             raise ValueError("time_budget_mode must be 'exact' or 'buffered'")
+        if not (self.accel_max_m_s2 > 0.0 > self.decel_min_m_s2):
+            raise ValueError("need accel_max > 0 > decel_min")
+        if self.signal_margin_s < 0.0:
+            raise ValueError("signal_margin_s must be >= 0")
 
 
 def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
@@ -379,16 +383,13 @@ def optimize(
         vs.append(v1)
     accs.append(0.0)
 
-    arrival_bin_time = path[-1][2] * float(ctx.dt[ctx.top])
     traj = from_samples(ts, xs, vs, accs, time_quantization_s=g.time_step_s)
-    traj.notes["arrival_time_bin_s"] = arrival_bin_time
-    traj.notes["budget_s"] = budget_s
     breakdown = record_arcs(traj, arcs)
     return DpResult(
         trajectory=traj,
         breakdown=breakdown,
         value=float(best_val),
-        arrival_time_s=arrival_bin_time,
+        arrival_time_s=path[-1][2] * float(ctx.dt[ctx.top]),
         budget_s=budget_s,
         states=path,
     )

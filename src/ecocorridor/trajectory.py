@@ -1,10 +1,13 @@
-"""Trajectory container with per-step power/energy/SOH bookkeeping."""
+"""Trajectory container with per-step power/energy/SOH bookkeeping, and the
+one safety check every trajectory through a corridor must pass."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .corridor import Corridor, crossing_allowed
 
 CSV_HEADER = ["t_s", "x_m", "v_m_s", "a_m_s2", "p_batt_w", "energy_j_cum", "soh_delta_cum"]
 
@@ -38,7 +41,6 @@ class Trajectory:
     # interval may then deviate from the constant-acceleration duration by
     # up to half this amount
     time_quantization_s: float = 0.0
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = len(self.t)
@@ -119,6 +121,87 @@ class Trajectory:
                         f"{self.soh_delta_cum[k]:.12e}",
                     ]
                 )
+
+
+def check_safety(traj: Trajectory, corridor: Corridor, bounds, budget_s: float | None = None) -> list[str]:
+    """Every safety rule `traj` breaks in `corridor`; empty when it is safe.
+
+    `bounds` gives `accel_max_m_s2` and `decel_min_m_s2`, and `signal_margin_s`
+    if it has one (a `RegularDriverRules` or a `DpGridSpec`). The rules:
+    `validate` passes; the speed never exceeds the limit; each stop line is
+    crossed on green at the exact `crossing_time` instant; acceleration stays
+    within the bounds; and, when `budget_s` is given, the trip ends by the
+    budget plus the signal margin plus half a clock tick. A plan on a discrete
+    clock (`time_quantization_s > 0`) is held to its arc kinematics
+    (v1^2 - v0^2) / 2 dx, as the optimizer's feasibility test is; any other
+    trajectory to dv against bound * dt, where only a stop to standstill may
+    brake harder.
+    """
+    try:
+        traj.validate()
+    except TrajectoryValidationError as exc:
+        return [f"validate failed: {exc}"]
+    failures = []
+    v, limit = traj.v, corridor.speed_limit_m_s
+    if v.max() > limit:
+        failures.append(f"speed {v.max():.9f} m/s over the limit {limit} m/s")
+    for i, line in enumerate(corridor.stop_lines_m):
+        t_cross = traj.crossing_time(line)
+        if t_cross is None:
+            failures.append(f"never crosses stop line {i}")
+        elif not crossing_allowed(corridor, i, t_cross):
+            failures.append(f"crosses light {i} on red at t={t_cross:.3f} s")
+    lo, hi = bounds.decel_min_m_s2, bounds.accel_max_m_s2
+    if traj.time_quantization_s > 0.0:
+        dx = np.diff(traj.x)
+        moving = dx > 0.0
+        acc = (v[1:] ** 2 - v[:-1] ** 2)[moving] / (2.0 * dx[moving])
+        too_hard, too_soft = acc > hi + 1e-9, acc < lo - 1e-9
+    else:
+        dv, dt = np.diff(v), np.diff(traj.t)
+        too_hard = dv > hi * dt + 1e-9
+        too_soft = (dv < lo * dt - 1e-9) & (v[1:] != 0.0)
+    if too_hard.any():
+        failures.append(f"accelerates harder than {hi} m/s^2")
+    if too_soft.any():
+        failures.append(f"brakes harder than {lo} m/s^2")
+    if budget_s is not None:
+        allowed = budget_s + getattr(bounds, "signal_margin_s", 0.0) + 0.5 * traj.time_quantization_s
+        if traj.trip_time_s > allowed:
+            failures.append(f"trip {traj.trip_time_s:.3f} s over budget ({allowed:.3f} s allowed)")
+    return failures
+
+
+@dataclass(frozen=True)
+class ClockAudit:
+    """A plan replayed on the durations its arcs are priced over."""
+
+    replay: Trajectory      # the plan on that clock
+    drift_s: float          # worst |t_arc - t_bin| over the samples
+    late_s: float           # replayed trip time past budget + signal margin
+    violations: list[str]   # check_safety of the replay, with the budget
+
+
+def audit_arc_clock(plan: Trajectory, corridor: Corridor, grid, budget_s: float) -> ClockAudit:
+    """Replay a binned plan with each motion interval lasting 2 dx / (v0 + v1)
+    and each wait interval its binned duration, and run `check_safety` on it
+    against the optimizer's `grid` (a `DpGridSpec`) and `budget_s`.
+
+    A reported number, not a check: the optimizer still searches, stamps and
+    checks its plans on the binned clock.
+    """
+    dx = np.diff(plan.x)
+    dur = np.diff(plan.t)
+    moving = dx > 0.0
+    dur[moving] = 2.0 * dx[moving] / (plan.v[1:] + plan.v[:-1])[moving]
+    replay = replace(plan, t=plan.t[0] + np.concatenate(([0.0], np.cumsum(dur))),
+                     time_quantization_s=0.0)
+    return ClockAudit(
+        replay=replay,
+        drift_s=float(np.max(np.abs(replay.t - plan.t))),
+        late_s=replay.trip_time_s - budget_s - grid.signal_margin_s,
+        violations=check_safety(replay, corridor, grid, budget_s),
+    )
 
 
 def from_samples(t, x, v, a=None, **kwargs) -> Trajectory:

@@ -14,7 +14,6 @@ from ecocorridor.advisory import IDEAL_DRIVER, simulate_advised_driver
 from ecocorridor.battery import lifetime_ah_throughput, soh_decay_rate
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.config import load_config
-from ecocorridor.corridor import crossing_allowed
 from ecocorridor.costs import J_PER_KWH
 from ecocorridor.dp import InfeasibleScenarioError
 from ecocorridor.oracle import run_oracle_suite
@@ -27,7 +26,7 @@ from ecocorridor.study import (
     run_scenario,
     sweep,
 )
-from ecocorridor.trajectory import from_samples
+from ecocorridor.trajectory import check_safety, from_samples
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -230,53 +229,6 @@ def test_criterion_7_physics_identities(paper_cfg):
     _report(7, "closed-form physics identities", failures)
 
 
-def _check_trajectory(tag, traj, corridor, rules, grid, budget, failures):
-    case = f"{tag}"
-    try:
-        traj.validate()
-    except ValueError as exc:
-        failures.append(f"{case}: validate failed: {exc}")
-        return
-    if float(np.max(traj.v)) > corridor.speed_limit_m_s + 1e-6:
-        failures.append(f"{case}: exceeds speed limit")
-    # an optimizer plan lives on a discrete clock, so its crossing may read a
-    # little early; a simulated driver's crossing time is exact
-    offsets = (0.0, 0.1, 0.2) if traj.time_quantization_s > 0.0 else (0.0,)
-    for i, line in enumerate(corridor.stop_lines_m):
-        t_cross = traj.crossing_time(line)
-        if t_cross is None:
-            failures.append(f"{case}: never crosses stop line {i}")
-            continue
-        if not any(crossing_allowed(corridor, i, t_cross + d) for d in offsets):
-            failures.append(f"{case}: crosses light {i} on red at t={t_cross:.2f}")
-    if traj.time_quantization_s > 0.0:
-        # optimizer plan: accelerations from the arc kinematics, and the
-        # arrival must respect the regular driver's trip-time budget
-        dx = np.diff(traj.x)
-        dv2 = traj.v[1:] ** 2 - traj.v[:-1] ** 2
-        moving = dx > 1e-9
-        acc = dv2[moving] / (2.0 * dx[moving])
-        lo, hi = grid.decel_min_m_s2, grid.accel_max_m_s2
-        slack = grid.signal_margin_s + 0.5 * grid.time_step_s
-        if budget is not None and traj.trip_time_s > budget + slack + 1e-6:
-            failures.append(
-                f"{case}: trip {traj.trip_time_s:.2f} s over budget {budget:.2f} s"
-            )
-    else:
-        dt = np.diff(traj.t)
-        acc = np.diff(traj.v) / np.where(dt > 0, dt, 1.0)
-        # an emergency stop right at the line may brake harder, but only
-        # down to standstill
-        ends_stopped = traj.v[1:] <= 1e-9
-        lo, hi = rules.decel_min_m_s2, rules.accel_max_m_s2
-        hard = (acc < lo - 1e-6) & ~ends_stopped
-        if np.any(hard):
-            failures.append(f"{case}: braking below {lo} m/s^2")
-        acc = acc[acc >= lo - 1e-6]
-    if len(acc) and (np.min(acc) < lo - 0.05 or np.max(acc) > hi + 0.05):
-        failures.append(f"{case}: acceleration outside [{lo}, {hi}]")
-
-
 def test_criterion_8_safety_suite(paper_cfg):
     rng = np.random.default_rng(42)
     failures = []
@@ -296,19 +248,17 @@ def test_criterion_8_safety_suite(paper_cfg):
         vp = spec.resolved_vehicle()
         tag = f"case {k} [{x:.1f} {y:.1f}]/{s:.0f}"
         regular = simulate_regular(c, vp, spec.rules)
-        _check_trajectory(f"{tag} regular", regular, c, spec.rules,
-                          spec.grid, None, failures)
+        failures += [f"{tag} regular: {m}" for m in check_safety(regular, c, spec.rules)]
         advised = simulate_advised_driver(c, vp, paper_cfg.driver,
                                           paper_cfg.advisory, spec.rules)
-        _check_trajectory(f"{tag} advised", advised, c, spec.rules,
-                          spec.grid, None, failures)
+        failures += [f"{tag} advised: {m}" for m in check_safety(advised, c, spec.rules)]
         if k % 8 == 0:
             try:
                 res = run_scenario(spec)
             except InfeasibleScenarioError:
                 continue
-            _check_trajectory(f"{tag} eco", res.eco, c, spec.rules,
-                              spec.grid, res.budget_s, failures)
+            failures += [f"{tag} eco: {m}"
+                         for m in check_safety(res.eco, c, spec.grid, res.budget_s)]
     _report(8, "randomized safety and constraint checks",
             failures[:10], f"{cases} scenarios")
 

@@ -12,6 +12,9 @@ from ecocorridor.advisory import (
 from ecocorridor.baseline import RegularDriverRules
 from ecocorridor.corridor import Phase, make_corridor, phase_at
 from ecocorridor.powertrain import VehicleParams
+from ecocorridor.trajectory import check_safety
+
+RULES = RegularDriverRules()
 
 
 def test_green_wave_recommends_limit():
@@ -48,11 +51,7 @@ def test_past_both_lights_recommends_limit():
 def test_advised_driver_never_crosses_red():
     for x, y in ((0.0, 0.0), (-15.0, 15.0), (15.0, -30.0)):
         c = make_corridor(x, y, spacing_m=400.0)
-        traj = simulate_advised_driver(c, VehicleParams())
-        traj.validate()
-        for sig in c.signals:
-            t_cross = traj.crossing_time(sig.stop_line_m)
-            assert phase_at(sig, t_cross) is Phase.GREEN
+        assert check_safety(simulate_advised_driver(c, VehicleParams()), c, RULES) == []
 
 
 def _pin_index(traj, line):
@@ -72,7 +71,7 @@ def test_ideal_driver_pinned_when_red_starts_before_the_crossing_instant():
     j = _pin_index(traj, sig.stop_line_m)
     assert phase_at(sig, traj.t[j - 1]) is Phase.GREEN
     assert traj.emergency_stop
-    assert phase_at(sig, traj.crossing_time(sig.stop_line_m)) is Phase.GREEN
+    assert check_safety(traj, c, RULES) == []
 
 
 def test_advised_driver_not_crossing_when_green_starts_after_the_crossing_instant():
@@ -84,7 +83,7 @@ def test_advised_driver_not_crossing_when_green_starts_after_the_crossing_instan
     j = _pin_index(traj, sig.stop_line_m)
     assert phase_at(sig, traj.t[j - 1]) is Phase.RED
     assert phase_at(sig, traj.t[j]) is Phase.GREEN
-    assert phase_at(sig, traj.crossing_time(sig.stop_line_m)) is Phase.GREEN
+    assert check_safety(traj, c, RULES) == []
 
 
 def test_advised_acceleration_bounds_include_final_step():

@@ -5,6 +5,9 @@ import pytest
 from ecocorridor.baseline import RegularDriverRules, simulate_regular
 from ecocorridor.corridor import Phase, make_corridor, phase_at
 from ecocorridor.powertrain import VehicleParams
+from ecocorridor.trajectory import check_safety
+
+RULES = RegularDriverRules()
 
 
 def test_all_green_is_constant_speed():
@@ -20,12 +23,10 @@ def test_stops_at_red_and_departs_on_green():
     c = make_corridor(15.0, 15.0, spacing_m=400.0)
     traj = simulate_regular(c, VehicleParams())
     # the second light (x=500) is red on [15, 45); the driver must wait
-    t_cross = traj.crossing_time(500.0)
-    assert t_cross >= 45.0
-    assert phase_at(c.signals[1], t_cross) is Phase.GREEN
+    assert traj.crossing_time(500.0) >= 45.0
+    assert check_safety(traj, c, RULES) == []
     # a full stop happened somewhere before the line
     assert traj.v.min() == pytest.approx(0.0, abs=1e-9)
-    traj.validate()
 
 
 def test_acceleration_bounds_respected():
@@ -50,10 +51,7 @@ def test_braking_starts_within_sight_distance():
 def test_never_crosses_on_red():
     for x, y in ((-30.0, 0.0), (0.0, -15.0), (15.0, -30.0)):
         c = make_corridor(x, y, spacing_m=200.0)
-        traj = simulate_regular(c, VehicleParams())
-        for sig in c.signals:
-            t_cross = traj.crossing_time(sig.stop_line_m)
-            assert phase_at(sig, t_cross) is Phase.GREEN
+        assert check_safety(simulate_regular(c, VehicleParams()), c, RULES) == []
 
 
 def _pin_index(traj, line):
@@ -73,7 +71,7 @@ def test_pinned_when_red_starts_before_the_crossing_instant():
     j = _pin_index(traj, sig.stop_line_m)
     assert phase_at(sig, traj.t[j - 1]) is Phase.GREEN
     assert traj.emergency_stop
-    assert phase_at(sig, traj.crossing_time(sig.stop_line_m)) is Phase.GREEN
+    assert check_safety(traj, c, RULES) == []
 
 
 def test_not_crossing_when_green_starts_after_the_crossing_instant():
@@ -85,7 +83,7 @@ def test_not_crossing_when_green_starts_after_the_crossing_instant():
     j = _pin_index(traj, sig.stop_line_m)
     assert phase_at(sig, traj.t[j - 1]) is Phase.RED
     assert phase_at(sig, traj.t[j]) is Phase.GREEN
-    assert phase_at(sig, traj.crossing_time(sig.stop_line_m)) is Phase.GREEN
+    assert check_safety(traj, c, RULES) == []
 
 
 def test_invalid_rules_rejected():

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ecocorridor.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
+from ecocorridor import cli
+from ecocorridor.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -29,8 +30,22 @@ def test_run_command(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "--config", str(tiny_config), "--out", str(out)])
     assert code == EXIT_OK
-    assert "reduction" in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert "reduction" in printed.out
+    # [15 15]/400 cruises through light 1 on red on the arc-duration clock
+    assert "arc-clock audit: worst drift" in printed.out
+    assert "crosses light 1 on red" in printed.out
+    assert printed.err == ""
     assert list(out.glob("*_eco.csv")) and list(out.glob("*.svg"))
+
+
+def test_run_exits_1_on_a_safety_violation(tiny_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_safety", lambda traj, c, bounds, budget_s=None: ["too fast"])
+    code = main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert "safety violation: regular: too fast" in err
+    assert "safety violation: eco: too fast" in err
 
 
 def test_run_with_overrides(tiny_config, tmp_path, capsys):
@@ -48,7 +63,9 @@ def test_sweep_command(tiny_config, tmp_path, capsys):
     code = main(["sweep", "--config", str(tiny_config), "--out", str(out)])
     assert code == EXIT_OK
     assert (out / "table2.csv").exists()
-    assert "cells: 1" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "cells: 1" in printed
+    assert "arc-clock audit: 1 of 1 plans cross on red, 0 of 1 arrive after" in printed
 
 
 def test_advisory_command(tmp_path, capsys):
@@ -74,6 +91,11 @@ def test_bad_config_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(bad)])
     assert code == EXIT_VALIDATION
     assert "configuration error" in capsys.readouterr().err
+    # an acceleration bound of the wrong sign is a configuration error, not
+    # an infeasible scenario
+    bad.write_text(json.dumps({"grid": {"accel_max_m_s2": -1}}))
+    assert main(["run", "--config", str(bad)]) == EXIT_VALIDATION
+    assert "accel_max" in capsys.readouterr().err
 
 
 def test_infeasible_exits_3(tmp_path, capsys):
