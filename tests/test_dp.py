@@ -7,7 +7,7 @@ import pytest
 from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
-from ecocorridor.corridor import GradeProfile, make_corridor
+from ecocorridor.corridor import GradeProfile, Phase, make_corridor, phase_at
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.oracle import run_oracle_suite
@@ -29,6 +29,32 @@ def test_boundary_speeds(solved):
     assert traj.v[-1] == pytest.approx(limit)
     assert traj.x[0] == 0.0
     assert traj.x[-1] == pytest.approx(600.0)
+
+
+def test_arrival_within_budget(solved):
+    _, res = solved
+    g = DpGridSpec()
+    allowance = g.signal_margin_s + 0.5 * g.time_step_s
+    assert res.arrival_time_s <= res.budget_s + allowance
+    assert res.trajectory.trip_time_s <= res.budget_s + allowance
+
+
+def test_crossings_on_green(solved):
+    c, res = solved
+    for sig in c.signals:
+        t_cross = res.trajectory.crossing_time(sig.stop_line_m)
+        assert phase_at(sig, t_cross) is Phase.GREEN
+
+
+def test_trajectory_validates(solved):
+    _, res = solved
+    res.trajectory.validate()
+    assert res.trajectory.time_quantization_s > 0.0
+
+
+def test_speed_limit_respected(solved):
+    _, res = solved
+    assert res.trajectory.v.max() <= 24.583 + 1e-9
 
 
 def test_plan_is_safe(solved):
