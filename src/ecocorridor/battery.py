@@ -72,7 +72,6 @@ class BatteryModel:
     reference_capacity_kwh: float = 54.0
     decay_multiplier: float = 1.0
     pack_price_per_kwh: float = 125.0
-    soh: float = 1.0
 
     def __post_init__(self) -> None:
         if self.capacity_kwh <= 0.0 or self.nominal_voltage_v <= 0.0:
@@ -87,8 +86,6 @@ class BatteryModel:
             raise ValueError("decay_multiplier must be >= 0")
         if self.reference_capacity_kwh <= 0.0:
             raise ValueError("reference_capacity_kwh must be positive")
-        if not 0.0 <= self.soh <= 1.0:
-            raise ValueError("soh must be in [0, 1]")
         object.__setattr__(self, "coeff_table", _validate_table(list(self.coeff_table)))
 
     @property

@@ -90,6 +90,9 @@ def _cmd_run(args) -> int:
         f"eco ${result.eco_cost.total_usd:.4f}  "
         f"reduction {result.reduction_pct:.1f}%"
     )
+    st = result.dp.stats
+    print(f"dp: {st.states} states, relaxed {st.relaxed} of {st.candidates} candidates "
+          f"({100.0 * st.relaxed / st.candidates:.1f}%)")
     print(f"arc-clock audit: worst drift {audit.drift_s:.2f} s, arrival "
           f"{audit.late_s:+.2f} s against budget + margin; "
           + ("; ".join(audit.violations) or "no violations"))

@@ -72,6 +72,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
+    # "label" is a free-text description of the file; nothing reads it
     known = {
         "corridor", "vehicle", "battery", "prices", "driver_rules",
         "grid", "advisory", "driver", "sweep", "label",
@@ -144,7 +145,6 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
         prices=prices,
         rules=rules,
         grid=grid,
-        label=str(raw.get("label", "")),
         **geo,
     )
     if "red_s" in timing:

@@ -4,16 +4,9 @@ Stages are distance nodes; the state at a stage is an (arrival-time bin,
 speed bin) pair. Time resolution is refined inside a speed band near the
 speed limit, which is what lets the solver track the feasibility boundary
 when the time budget is tight. Wait arcs (time advances at zero speed)
-exist only at stop-line nodes.
-
-A node's states are stored flat, speed-major: state (speed j, time bin tb)
-sits at ``offsets[j] + tb``. An arc's duration and feasibility do not depend
-on the grade, so its arrival bin depends only on the stage parity: each
-parity gets one plan per solve that lists every candidate arc grouped by
-destination state, and a stage is a gather, an add and a segment minimum
-over that plan, priced from the cost table of the stage's grade. Ties
-between equal-cost arcs go to the lowest source speed, then the latest
-source bin.
+exist only at stop-line nodes. ``forward`` runs the value recursion over
+the grid and arc tables built here; ``optimize`` backtracks its result into
+a priced trajectory.
 """
 from __future__ import annotations
 
@@ -26,15 +19,11 @@ from .baseline import RegularDriverRules, simulate_regular
 from .battery import BatteryModel
 from .corridor import Corridor
 from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
+from .forward import SolveStats, forward_pass
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
 _EPS = 1e-9
-# Candidate arcs per numpy call in the forward pass. It bounds each stage
-# temporary to about 128 KiB of float64 whatever the grid size; at 2**16 the
-# temporaries left the allocator's heap for fresh pages, and the page faults
-# cost more time and memory than the extra calls at 2**14.
-_CHUNK = 1 << 14
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -217,95 +206,8 @@ class DpResult:
     value: float            # objective of the optimal path (path-ordered sum)
     arrival_time_s: float   # binned arrival time at the exit node
     budget_s: float
+    stats: SolveStats
     states: list = field(default_factory=list)  # (node, speed_bin, time_bin) path
-
-
-def _build_plan(ctx: DpContext, stage: int) -> list[tuple[np.ndarray, ...]]:
-    """Every motion arc leaving a node of this stage's parity.
-
-    Candidates are grouped by destination state and, within a group, ordered
-    by source speed ascending, then source bin descending, so a group's first
-    minimum breaks cost ties toward the lowest source speed, then the latest
-    source bin. The plan is a list of chunks ``(src, pair, dest, starts,
-    sizes)`` of whole destination speeds, each closed once it holds
-    ``_CHUNK`` candidates: candidate ``c`` relaxes flat state ``src[c]`` at
-    cost ``cost.ravel()[pair[c]]``, and group ``g`` starts at ``starts[g]``,
-    holds ``sizes[g]`` candidates and lands on flat state ``dest[g]``.
-    """
-    dur = ctx.tables(stage)["dur"]
-    eps = ctx.tie_eps(stage)
-    pair_type = np.min_scalar_type(ctx.n_v * ctx.n_v)
-    plan, pending, n_pending = [], [], 0
-    for j, sources in enumerate(ctx.pair_sources(stage)):
-        dt_j, n_j = float(ctx.dt[j]), ctx.n_t[j]
-        for i in sources:
-            tb = np.arange(ctx.n_t[i] - 1, -1, -1)
-            dest = np.rint((tb * float(ctx.dt[i]) + dur[i, j]) / dt_j + eps).astype(np.int64)
-            ok = dest < n_j
-            n_ok = int(np.count_nonzero(ok))
-            pending.append((ctx.offsets[j] + dest[ok], ctx.offsets[i] + tb[ok],
-                            np.full(n_ok, i * ctx.n_v + j, dtype=pair_type)))
-            n_pending += n_ok
-        if n_pending and (n_pending >= _CHUNK or j == ctx.top):
-            dest, src, pair = map(np.concatenate, zip(*pending))
-            # stable, so sources keep their (speed ascending, bin descending) order
-            order = np.argsort(dest, kind="stable")
-            dest, src, pair = dest[order], src[order], pair[order]
-            starts = np.flatnonzero(np.r_[True, dest[1:] != dest[:-1]])
-            sizes = np.diff(np.r_[starts, len(dest)])
-            plan.append((src.astype(np.int32), pair, dest[starts].astype(np.int32), starts, sizes))
-            pending, n_pending = [], 0
-    return plan
-
-
-def _relax(plan: list, vals: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One stage of motion arcs: each state's minimum and its first argmin."""
-    new = np.full(len(vals), np.inf)
-    pred = np.full(len(vals), -1, dtype=np.int32)
-    for src, pair, dest, starts, sizes in plan:
-        cand = vals[src] + cost[pair]
-        best = np.minimum.reduceat(cand, starts)
-        # every group holds its own minimum (inf too), so the first hit at
-        # or after a group's start lies inside that group
-        hits = np.flatnonzero(cand == np.repeat(best, sizes))
-        new[dest] = best
-        pred[dest] = src[hits[np.searchsorted(hits, starts)]]
-    pred[np.isinf(new)] = -1
-    return new, pred
-
-
-def _run_dp(ctx: DpContext) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray]]:
-    """Forward value recursion over flat states.
-
-    Returns the exit node's values, each node's predecessors (the flat state
-    at the previous node, -1 where unreached) and, per stop-line node, a flag
-    per zero-speed time bin that is set where a wait arc gave the value.
-    """
-    vals = np.full(int(ctx.offsets[-1]), np.inf)
-    vals[ctx.offsets[ctx.top]] = 0.0
-    preds = [np.full(len(vals), -1, dtype=np.int32)]
-    waits: dict[int, np.ndarray] = {}
-    plans: dict[int, list] = {}
-
-    for k in range(ctx.n_nodes - 1):
-        if k in ctx.stop_nodes:
-            # wait arcs at a stop-line node, applied on arrival before
-            # departure to the zero-speed states (the first n_t[0] flat
-            # states); each one extends the previous, so they run in order
-            w = ctx.wait_cost.total_usd
-            waited = waits[k] = np.zeros(ctx.n_t[0], dtype=bool)
-            for tb in range(1, ctx.n_t[0]):
-                cand = vals[tb - 1] + w
-                if cand < vals[tb]:
-                    vals[tb] = cand
-                    waited[tb] = True
-            green = np.concatenate([ctx.green_mask(k, i) for i in range(ctx.n_v)])
-            vals = np.where(green, vals, np.inf)
-        if k % 2 not in plans:
-            plans[k % 2] = _build_plan(ctx, k)
-        vals, pred = _relax(plans[k % 2], vals, ctx.tables(k)["cost"].ravel())
-        preds.append(pred)
-    return vals, preds, waits
 
 
 def _diagnose_infeasibility(ctx: DpContext) -> str:
@@ -335,7 +237,8 @@ def optimize(
         budget_s = time_budget(simulate_regular(c, v, rules).trip_time_s, g)
     ctx = DpContext(c, v, b, g, prices, budget_s)
 
-    vals, preds, waits = _run_dp(ctx)
+    fp = forward_pass(ctx)
+    vals, waits = fp.vals, fp.waits
     start = int(ctx.offsets[ctx.top])
     final = vals[start:ctx.offsets[ctx.top + 1]]
     finite = np.isfinite(final)
@@ -357,7 +260,7 @@ def optimize(
         if j == 0 and k in waits and waits[k][tb]:
             s -= 1
             continue
-        s = int(preds[k][s])
+        s = fp.pred(k, s)
         if s < 0:
             raise AssertionError("broken predecessor chain")
         k -= 1
@@ -391,5 +294,6 @@ def optimize(
         value=float(best_val),
         arrival_time_s=path[-1][2] * float(ctx.dt[ctx.top]),
         budget_s=budget_s,
+        stats=fp.stats,
         states=path,
     )

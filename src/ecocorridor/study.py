@@ -42,7 +42,6 @@ class ScenarioSpec:
     prices: Prices = field(default_factory=Prices)
     rules: RegularDriverRules = field(default_factory=RegularDriverRules)
     grid: DpGridSpec = field(default_factory=DpGridSpec)
-    label: str = ""
 
     def resolved_vehicle(self) -> VehicleParams:
         return replace(self.vehicle, mass_kg=VEHICLE_VARIANTS[self.variant]["mass_kg"])
@@ -162,14 +161,6 @@ class SweepResult:
     @property
     def grand_average_reduction_pct(self) -> float:
         vals = [c.result.reduction_pct for c in self.cells if c.result is not None]
-        return float(np.mean(vals)) if vals else float("nan")
-
-    def column_average_reduction_pct(self, s: float) -> float:
-        vals = [
-            c.result.reduction_pct
-            for c in self.cells
-            if c.result is not None and c.spacing_m == s
-        ]
         return float(np.mean(vals)) if vals else float("nan")
 
 

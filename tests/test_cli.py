@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ def test_run_command(tiny_config, tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr()
     assert "reduction" in printed.out
+    assert re.search(r"^dp: \d+ states, relaxed \d+ of \d+ candidates \(\d+\.\d%\)$",
+                     printed.out, re.MULTILINE)
     # [15 15]/400 cruises through light 1 on red on the arc-duration clock
     assert "arc-clock audit: worst drift" in printed.out
     assert "crosses light 1 on red" in printed.out

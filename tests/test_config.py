@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ecocorridor.advisory import IDEAL_DRIVER
+from ecocorridor.cli import EXIT_VALIDATION, main
 from ecocorridor.config import ConfigError, load_config, override_cell
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -63,6 +64,14 @@ def test_unknown_nested_key_rejected(tmp_path):
     path = write_cfg(tmp_path, {"vehicle": {"mass_lb": 3000}})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_battery_soh_is_an_unknown_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"battery": {"soh": 0.9}})
+    with pytest.raises(ConfigError, match=r"unknown keys in 'battery' block: \['soh'\]"):
+        load_config(path)
+    assert main(["run", "--config", str(path)]) == EXIT_VALIDATION
+    assert "unknown keys in 'battery' block" in capsys.readouterr().err
 
 
 def test_bad_value_types_rejected(tmp_path):

@@ -7,10 +7,13 @@ import pytest
 from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
-from ecocorridor.corridor import GradeProfile, Phase, make_corridor, phase_at
+from ecocorridor.corridor import (
+    Corridor, GradeProfile, Phase, SignalSchedule, make_corridor, phase_at,
+)
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
-from ecocorridor.oracle import run_oracle_suite
+from ecocorridor.forward import forward_pass
+from ecocorridor.oracle import random_tiny_instance, run_oracle_suite
 from ecocorridor.powertrain import VehicleParams
 from ecocorridor.trajectory import check_safety
 
@@ -207,40 +210,92 @@ def _paper_cell_context(*args, **kwargs):
     return dp.DpContext(c, vp, BatteryModel(), g, Prices(), budget)
 
 
+def _reaches_exit(ctx, signals=True):
+    """Per node and speed, the time bins from which the exit can be reached
+    at the speed limit, over the reference loop's arcs: a backward boolean
+    pass with the signals, their margin and the wait arcs included, or with
+    neither when ``signals`` is false."""
+    n_v = ctx.n_v
+    can = [[np.zeros(ctx.n_t[j], dtype=bool) for j in range(n_v)]]
+    can[0][ctx.top][:] = True
+    for k in range(ctx.n_nodes - 2, -1, -1):
+        dur = ctx.tables(k)["dur"]
+        nxt, cur = can[0], [np.zeros(ctx.n_t[i], dtype=bool) for i in range(n_v)]
+        for j in range(n_v):
+            for i in ctx.pair_sources(k)[j]:
+                tb = np.arange(ctx.n_t[i])
+                dest = np.rint((tb * float(ctx.dt[i]) + dur[i, j]) / float(ctx.dt[j])
+                               + ctx.tie_eps(k)).astype(np.int64)
+                ok = dest < ctx.n_t[j]
+                hit = np.zeros(ctx.n_t[i], dtype=bool)
+                hit[ok] = nxt[j][dest[ok]]
+                if signals and k in ctx.stop_nodes:
+                    hit &= ctx.green_mask(k, i)
+                cur[i] |= hit
+        if signals and k in ctx.stop_nodes:
+            # a wait arc moves a zero-speed state one bin later at this node
+            for tb in range(ctx.n_t[0] - 2, -1, -1):
+                cur[0][tb] |= cur[0][tb + 1]
+        can.insert(0, cur)
+    return can
+
+
 def _assert_matches_reference(ctx):
+    """The windowed pass against the loop: identical on every state inside
+    a node's window, unset outside it, and no state the loop reaches outside
+    the window can reach the exit. Returns the pass and how many reached
+    states fell outside the windows."""
     ref_vals, ref_preds = _reference_forward_pass(ctx)
-    vals, preds, waits = dp._run_dp(ctx)
-    assert np.concatenate(ref_vals).tobytes() == vals.tobytes()
-    assert len(preds) == len(ref_preds) == ctx.n_nodes
-    for k, (ref, pred) in enumerate(zip(ref_preds, preds)):
+    fp = forward_pass(ctx)
+    reaches = _reaches_exit(ctx)
+    assert len(fp.preds) == len(ref_preds) == ctx.n_nodes
+    dropped = 0
+    for k, ref in enumerate(ref_preds):
+        dest, stored = fp.preds[k]
+        pred = np.full(int(ctx.offsets[-1]), -1)
+        pred[dest] = stored
         src_v = np.searchsorted(ctx.offsets, pred, side="right") - 1
         v = np.where(pred < 0, -1, src_v)
         t = np.where(pred < 0, -1, pred - ctx.offsets[src_v])
         wait = np.zeros(len(pred), dtype=bool)
-        if k in waits:
-            wait[: ctx.n_t[0]] = waits[k]
+        if k in fp.waits:
+            wait[: ctx.n_t[0]] = fp.waits[k]
         for j in range(ctx.n_v):
             lo, hi = ctx.offsets[j], ctx.offsets[j + 1]
-            assert np.array_equal(ref[j]["v"], v[lo:hi]), (k, j)
-            assert np.array_equal(ref[j]["t"], t[lo:hi]), (k, j)
-            assert np.array_equal(ref[j]["wait"], wait[lo:hi]), (k, j)
-    return waits
+            tb = np.arange(ctx.n_t[j])
+            inside = (tb >= fp.lo[k, j]) & (tb <= fp.latest[k, j])
+            for key, got in (("v", v[lo:hi]), ("t", t[lo:hi]), ("wait", wait[lo:hi])):
+                assert np.array_equal(ref[j][key][inside], got[inside]), (k, j, key)
+            assert (v[lo:hi][~inside] == -1).all(), (k, j)
+            assert not wait[lo:hi][~inside].any(), (k, j)
+            reached = (ref[j]["v"] >= 0) | ref[j]["wait"]
+            if k == 0 and j == ctx.top:
+                reached[0] = True
+            assert not (reached & ~inside & reaches[k][j]).any(), (k, j)
+            dropped += int((reached & ~inside).sum())
+            if k == ctx.n_nodes - 1:
+                got = fp.vals[lo:hi]
+                assert ref_vals[j][inside].tobytes() == got[inside].tobytes(), j
+                assert np.isinf(got[~inside]).all(), j
+    return fp, dropped
 
 
 def test_forward_pass_matches_reference_with_waits_at_both_lines():
     # with regeneration on, wait arcs win some zero-speed bins at both lines
     ctx = _paper_cell_context(-30.0, 0.0, 200.0, regen=True)
-    waits = _assert_matches_reference(ctx)
-    assert sorted(waits) == sorted(ctx.stop_nodes)
-    assert all(w.any() for w in waits.values())
+    fp, dropped = _assert_matches_reference(ctx)
+    assert sorted(fp.waits) == sorted(ctx.stop_nodes)
+    assert all(w.any() for w in fp.waits.values())
+    # dead-end states the loop reaches are left out, so the check bites
+    assert dropped > 0
 
 
 def test_forward_pass_matches_reference_on_halved_speed_step():
     # the paper cell whose default grid is infeasible and is solved again
-    # with half the speed step; its plans run to several chunks
+    # with half the speed step; some of its stages relax several chunks
     ctx = _paper_cell_context(0.0, -15.0, 200.0, speed_step_m_s=0.25)
-    assert len(dp._build_plan(ctx, 0)) > 1
-    _assert_matches_reference(ctx)
+    fp, _ = _assert_matches_reference(ctx)
+    assert fp.chunks > ctx.n_nodes - 1
 
 
 def test_forward_pass_matches_reference_on_two_grades():
@@ -249,6 +304,59 @@ def test_forward_pass_matches_reference_on_two_grades():
     ctx = _paper_cell_context(15.0, 0.0, 200.0, grade_profile=grades)
     assert len(set(ctx.grade_by_stage.tolist())) == 2
     _assert_matches_reference(ctx)
+
+
+def _assert_latest_bins_exact(ctx):
+    # without signals and waits the bins that reach the exit are the ones up
+    # to the latest-bin bound, rounding ties included
+    latest = forward_pass(ctx).latest
+    for k, per_speed in enumerate(_reaches_exit(ctx, signals=False)):
+        for j, reach in enumerate(per_speed):
+            top = np.flatnonzero(reach)
+            assert latest[k, j] == (top[-1] if len(top) else -1), (k, j)
+            assert reach[: latest[k, j] + 1].all(), (k, j)
+
+
+def test_latest_bins_are_exact():
+    # the grid has arcs of exactly 2.5 bins (17 -> 15 m/s in 0.625 s), whose
+    # arrivals are half-bin ties that the stage parity breaks
+    _assert_latest_bins_exact(_paper_cell_context(-30.0, 0.0, 200.0))
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        c, g, budget = random_tiny_instance(rng)
+        _assert_latest_bins_exact(dp.DpContext(c, VehicleParams(), BatteryModel(), g,
+                                               Prices(), budget))
+
+
+def test_forward_pass_matches_reference_on_tiny_instances():
+    rng = np.random.default_rng(32)
+    empty_stages = 0
+    for _ in range(25):
+        c, g, budget = random_tiny_instance(rng)
+        ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), budget)
+        fp, _ = _assert_matches_reference(ctx)
+        empty_stages += any((fp.lo[k] > fp.latest[k]).all() for k in range(1, ctx.n_nodes))
+    assert empty_stages > 0
+
+
+def test_empty_stage_is_infeasible():
+    # the first light stays red for the whole budget, so no state leaves its
+    # stop line and every window of the next stage is empty
+    c = Corridor(entry_buffer_m=100.0, light_spacing_m=100.0, exit_buffer_m=50.0,
+                 speed_limit_m_s=10.0,
+                 signals=(SignalSchedule(100.0, -1.0, 100.0, 10.0),
+                          SignalSchedule(200.0, 0.0, 4.0, 4.0)))
+    g = DpGridSpec(distance_step_m=50.0, speed_step_m_s=2.5, time_step_s=1.0,
+                   boundary_time_step_s=1.0, signal_margin_s=0.0)
+    ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), 40.0)
+    fp, _ = _assert_matches_reference(ctx)
+    assert (fp.lo[3] > fp.latest[3]).all()
+    assert fp.stats.relaxed < fp.stats.candidates
+    with pytest.raises(InfeasibleScenarioError) as exc:
+        optimize(c, VehicleParams(), BatteryModel(), g, budget_s=40.0)
+    binding = "signal windows and time budget leave no feasible exit at the speed limit"
+    assert exc.value.binding == binding
+    assert str(exc.value) == f"no feasible eco trajectory: {binding}"
 
 
 @pytest.mark.parametrize(
