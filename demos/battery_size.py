@@ -5,23 +5,19 @@ than the standard pack (54 kWh), so the same drive consumes a smaller slice
 of the pack's lifetime Ah throughput. The study runs every timing/spacing
 combination for both variants and reports the average reduction in per-trip
 capacity decay, separately for the regular and the eco driver."""
-from ecocorridor import ScenarioSpec, VehicleParams, battery_size_study
-from ecocorridor.report import write_decay_comparison_csv
-
 from pathlib import Path
 
+from ecocorridor import battery_size_study, load_config
+from ecocorridor.report import write_decay_comparison_csv
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_sweep.json"
 OUT = Path(__file__).resolve().parent / "output"
 
 
 def main() -> None:
-    base = ScenarioSpec(
-        time_to_red_first_s=15.0,
-        time_to_red_second_s=15.0,
-        exit_buffer_m=200.0,
-        vehicle=VehicleParams(regen_enabled=False),
-    )
+    cfg = load_config(CONFIG)
     print("running 2 x 64 scenarios, this takes a few minutes...")
-    res = battery_size_study(base)
+    res = battery_size_study(cfg.base, cfg.timings_s, cfg.spacings_m)
     print(f"average decay reduction of the 75 kWh pack vs 54 kWh:")
     print(f"  regular driver: {res.average('regular'):.1f}%")
     print(f"  eco driver:     {res.average('eco'):.1f}%")

@@ -6,22 +6,20 @@ trajectory that minimizes energy already minimizes wear — but it greatly
 amplifies the cost advantage of eco-driving, because battery replacement
 dominates the bill."""
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from ecocorridor import ScenarioSpec, VehicleParams, run_scenario
+from ecocorridor import load_config, run_scenario
+from ecocorridor.config import override_cell
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper_sweep.json"
 
 
 def main() -> None:
-    base = ScenarioSpec(
-        time_to_red_first_s=15.0,
-        time_to_red_second_s=15.0,
-        spacing_m=800.0,
-        exit_buffer_m=200.0,
-        vehicle=VehicleParams(regen_enabled=False),
-    )
+    base = override_cell(load_config(CONFIG), (15.0, 15.0), 800.0)
     r1 = run_scenario(base)
-    r10 = run_scenario(replace(base, decay_multiplier=10.0))
+    r10 = run_scenario(replace(base, battery=base.battery.with_multiplier(10.0)))
 
     t_max = min(r1.eco.t[-1], r10.eco.t[-1])
     grid = np.arange(0.0, t_max, 0.5)

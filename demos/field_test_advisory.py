@@ -10,7 +10,7 @@ the regular stopping rule so the car never runs a red."""
 from pathlib import Path
 
 from ecocorridor import load_config
-from ecocorridor.study import run_advisory_scenario
+from ecocorridor.study import percent_saving, run_advisory_scenario
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "field_test.json"
 
@@ -19,15 +19,11 @@ def main() -> None:
     cfg = load_config(CONFIG)
     res = run_advisory_scenario(cfg.base, cfg.driver, cfg.advisory)
     rc, ac = res["regular_cost"], res["advised_cost"]
-
-    def pct(a: float, b: float) -> float:
-        return 100.0 * (a - b) / a
-
     print(f"regular driver: ${rc.total_usd:.4f}, trip {rc.trip_time_s:.1f} s")
     print(f"advised driver: ${ac.total_usd:.4f}, trip {ac.trip_time_s:.1f} s")
-    print(f"total cost reduction: {pct(rc.total_usd, ac.total_usd):.1f}%")
-    print(f"  energy: {pct(rc.energy_kwh, ac.energy_kwh):.1f}%")
-    print(f"  decay:  {pct(abs(rc.soh_delta), abs(ac.soh_delta)):.1f}%")
+    print(f"total cost reduction: {percent_saving(rc.total_usd, ac.total_usd):.1f}%")
+    print(f"  energy: {percent_saving(rc.energy_kwh, ac.energy_kwh):.1f}%")
+    print(f"  decay:  {percent_saving(abs(rc.soh_delta), abs(ac.soh_delta)):.1f}%")
     print(f"{len(res['log'])} recommendations issued; first five:")
     for t, x, v, action, target in res["log"][:5]:
         print(f"  t={t:5.1f}s x={x:6.1f}m v={v:5.1f}  {action:10s} target {target:.1f} m/s")

@@ -25,7 +25,6 @@ class Advisory:
 
 @dataclass(frozen=True)
 class AdvisoryConfig:
-    speed_limit_m_s: float = 24.583
     update_rate_hz: float = 1.0
     min_cruise_m_s: float = 4.5
     accel_m_s2: float = 2.0  # assumed when judging whether a window is makeable
@@ -34,10 +33,15 @@ class AdvisoryConfig:
     def __post_init__(self) -> None:
         if self.update_rate_hz <= 0.0:
             raise ValueError("update rate must be > 0")
-        if not 0.0 < self.min_cruise_m_s < self.speed_limit_m_s:
-            raise ValueError("need 0 < min_cruise < speed_limit")
+        if self.min_cruise_m_s <= 0.0:
+            raise ValueError("min_cruise must be > 0")
         if self.accel_m_s2 <= 0.0:
             raise ValueError("accel must be > 0")
+
+    def check_limit(self, speed_limit_m_s: float) -> None:
+        """Reject a speed limit (the corridor's) not above the cruise floor."""
+        if not self.min_cruise_m_s < speed_limit_m_s:
+            raise ValueError(f"need min_cruise_m_s < speed limit {speed_limit_m_s:.3f} m/s")
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,9 @@ IDEAL_DRIVER = DriverFollowingModel(
 )
 
 
-def _min_travel_time(d: float, v: float, cfg: AdvisoryConfig) -> float:
+def _min_travel_time(d: float, v: float, limit: float, cfg: AdvisoryConfig) -> float:
     """Quickest time to cover d starting at v: accelerate, then cruise."""
-    limit, a = cfg.speed_limit_m_s, cfg.accel_m_s2
+    a = cfg.accel_m_s2
     v = min(max(v, 0.0), limit)
     d_accel = (limit * limit - v * v) / (2.0 * a)
     if d_accel >= d:
@@ -70,13 +74,12 @@ def _min_travel_time(d: float, v: float, cfg: AdvisoryConfig) -> float:
 
 
 def _light_target(
-    sig: SignalSchedule, d: float, v: float, t: float, cfg: AdvisoryConfig
+    sig: SignalSchedule, d: float, v: float, t: float, limit: float, cfg: AdvisoryConfig
 ) -> tuple[float, float]:
     """(cruise target, floor to still make the green window) for one light."""
-    limit = cfg.speed_limit_m_s
     if phase_at(sig, t) is Phase.GREEN:
         remaining_green = next_red_onset(sig, t) - t
-        if _min_travel_time(d, v, cfg) <= remaining_green:
+        if _min_travel_time(d, v, limit, cfg) <= remaining_green:
             floor = d / remaining_green if remaining_green > 0 else limit
             return limit, floor
         t_on = next_green_onset(sig, next_red_onset(sig, t))
@@ -98,21 +101,22 @@ def recommend(
     state, and the slower of the two wins as long as it still makes the
     first light's window.
     """
-    limit = cfg.speed_limit_m_s
+    limit = c.speed_limit_m_s
+    cfg.check_limit(limit)
     unpassed = [s for s in c.signals if x < s.stop_line_m - 1e-9]
     if not unpassed:
         target = limit
     else:
         first = unpassed[0]
         d1 = first.stop_line_m - x
-        target1, floor1 = _light_target(first, d1, v, t, cfg)
+        target1, floor1 = _light_target(first, d1, v, t, limit, cfg)
         target = target1
         if len(unpassed) > 1 and cfg.lookahead_lights >= 2:
             second = unpassed[1]
             v_plan = min(max(target1, cfg.min_cruise_m_s), limit)
             t1 = t + d1 / v_plan
             d2 = second.stop_line_m - first.stop_line_m
-            target2, _ = _light_target(second, d2, v_plan, t1, cfg)
+            target2, _ = _light_target(second, d2, v_plan, t1, limit, cfg)
             # slowing for the second light must not forfeit the first window
             target = max(min(target1, target2), floor1)
     target = min(max(target, cfg.min_cruise_m_s), limit)
@@ -142,7 +146,7 @@ def simulate_advised_driver(
     keeps it off red.
     """
     d = d or DriverFollowingModel()
-    cfg = cfg or AdvisoryConfig(speed_limit_m_s=c.speed_limit_m_s)
+    cfg = cfg or AdvisoryConfig()
     rules = rules or RegularDriverRules()
     dt = rules.timestep_s
     limit = c.speed_limit_m_s

@@ -14,7 +14,7 @@ from .report import (
     render_scenario_svg,
     write_trajectories,
 )
-from .study import ScenarioResult, run_advisory_scenario, run_scenario, sweep
+from .study import ScenarioResult, percent_saving, run_advisory_scenario, run_scenario, sweep
 from .trajectory import ClockAudit, audit_arc_clock, check_safety
 
 OUT_DIR_ENV = "ECOCORRIDOR_OUT"
@@ -134,10 +134,10 @@ def _cmd_advisory(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     res["regular"].to_csv(out / "advisory_regular.csv")
     res["advised"].to_csv(out / "advisory_advised.csv")
-    red = 100.0 * (rc.total_usd - ac.total_usd) / rc.total_usd
     print(
         f"regular ${rc.total_usd:.4f}  advised ${ac.total_usd:.4f}  "
-        f"reduction {red:.1f}%  ({len(res['log'])} recommendations issued)"
+        f"reduction {percent_saving(rc.total_usd, ac.total_usd):.1f}%  "
+        f"({len(res['log'])} recommendations issued)"
     )
     print(f"wrote {out / 'advisory_regular.csv'} and {out / 'advisory_advised.csv'}")
     return EXIT_OK

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -21,6 +21,13 @@ from .study import (
 
 KMH_TO_M_S = 1.0 / 3.6
 
+# fields that another key sets, so a config may not set them itself
+OWNED_KEYS = {
+    "vehicle.mass_kg": "vehicle.variant",
+    "battery.capacity_kwh": "vehicle.variant",
+    "battery.coeff_table": "battery.coefficients_csv",
+}
+
 
 class ConfigError(ValueError):
     """Raised when a configuration file is malformed or inconsistent."""
@@ -38,24 +45,15 @@ def _build(cls, block: dict, name: str, **extra):
         raise ConfigError(f"invalid '{name}' block: {exc}") from exc
 
 
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed configuration: a base scenario plus sweep and advisory settings."""
 
-    def __init__(
-        self,
-        base: ScenarioSpec,
-        timings_s: tuple[float, ...] = DEFAULT_TIMINGS_S,
-        spacings_m: tuple[float, ...] = DEFAULT_SPACINGS_M,
-        advisory: AdvisoryConfig | None = None,
-        driver: DriverFollowingModel | None = None,
-    ) -> None:
-        self.base = base
-        self.timings_s = timings_s
-        self.spacings_m = spacings_m
-        self.advisory = advisory or AdvisoryConfig(
-            speed_limit_m_s=base.speed_limit_m_s
-        )
-        self.driver = driver or DriverFollowingModel()
+    base: ScenarioSpec
+    timings_s: tuple[float, ...]
+    spacings_m: tuple[float, ...]
+    advisory: AdvisoryConfig
+    driver: DriverFollowingModel
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -84,6 +82,10 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _parse(raw: dict, base_dir: Path) -> RunConfig:
+    for key, owner in OWNED_KEYS.items():
+        block, leaf = key.split(".")
+        if leaf in raw.get(block, {}):
+            raise ConfigError(f"'{key}' cannot be set: '{owner}' sets it")
     corridor = dict(raw.get("corridor", {}))
     signals = corridor.pop("signals", {})
     if not isinstance(signals, dict):
@@ -115,7 +117,6 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
 
     battery_block = dict(raw.get("battery", {}))
     coeff_path = battery_block.pop("coefficients_csv", None)
-    mult = battery_block.pop("decay_multiplier", 1.0)
     if coeff_path is not None:
         csv = Path(coeff_path)
         if not csv.is_absolute():
@@ -130,16 +131,18 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
     rules = _build(RegularDriverRules, dict(raw.get("driver_rules", {})), "driver_rules")
     grid = _build(DpGridSpec, dict(raw.get("grid", {})), "grid")
     driver_block = dict(raw.get("driver", {}))
+    if "ideal" in driver_block and len(driver_block) > 1:
+        raise ConfigError("'driver.ideal' sets every driver setting; drop the other 'driver' keys")
     ideal = driver_block.pop("ideal", False)
     driver = IDEAL_DRIVER if ideal else _build(
         DriverFollowingModel, driver_block, "driver"
     )
+    advisory = _build(AdvisoryConfig, dict(raw.get("advisory", {})), "advisory")
 
     base_kwargs: dict[str, Any] = dict(
         time_to_red_first_s=timing.get("time_to_red_first_s", 0.0),
         time_to_red_second_s=timing.get("time_to_red_second_s", 0.0),
         variant=variant,
-        decay_multiplier=_number(mult, "battery.decay_multiplier"),
         vehicle=vehicle,
         battery=battery,
         prices=prices,
@@ -158,6 +161,7 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
     try:
         base = ScenarioSpec(**base_kwargs)
         base.corridor()  # validate geometry eagerly
+        advisory.check_limit(base.speed_limit_m_s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -173,10 +177,6 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
     )
     if not timings or not spacings:
         raise ConfigError("sweep lists must be non-empty")
-
-    adv_block = dict(raw.get("advisory", {}))
-    adv_block.setdefault("speed_limit_m_s", base.speed_limit_m_s)
-    advisory = _build(AdvisoryConfig, adv_block, "advisory")
 
     return RunConfig(base, timings, spacings, advisory, driver)
 

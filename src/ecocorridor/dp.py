@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import RegularDriverRules, simulate_regular
 from .battery import BatteryModel
 from .corridor import Corridor
 from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
@@ -39,8 +38,7 @@ class DpGridSpec:
     time_step_s: float = 0.25
     boundary_time_step_s: float = 0.05
     boundary_band_m_s: float = 1.0
-    time_budget_mode: str = "exact"  # or "buffered"
-    time_buffer_frac: float = 0.03
+    time_buffer_frac: float = 0.0  # 0: the regular driver's trip time
     accel_max_m_s2: float = 2.0
     decel_min_m_s2: float = -4.0
     signal_margin_s: float = 0.25
@@ -53,8 +51,6 @@ class DpGridSpec:
             raise ValueError("boundary_time_step_s must be <= time_step_s")
         if not 0.0 <= self.time_buffer_frac <= 0.1:
             raise ValueError("time_buffer_frac must be in [0, 0.1]")
-        if self.time_budget_mode not in ("exact", "buffered"):
-            raise ValueError("time_budget_mode must be 'exact' or 'buffered'")
         if not (self.accel_max_m_s2 > 0.0 > self.decel_min_m_s2):
             raise ValueError("need accel_max > 0 > decel_min")
         if self.signal_margin_s < 0.0:
@@ -62,10 +58,8 @@ class DpGridSpec:
 
 
 def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
-    """Regular driver's trip time, optionally stretched by the buffer."""
-    if g.time_budget_mode == "buffered":
-        trip_time_s *= 1.0 + g.time_buffer_frac
-    return trip_time_s
+    """Regular driver's trip time stretched by the grid's buffer fraction."""
+    return trip_time_s * (1.0 + g.time_buffer_frac)
 
 
 class DpContext:
@@ -203,8 +197,7 @@ class DpContext:
 class DpResult:
     trajectory: Trajectory
     breakdown: CostBreakdown
-    value: float            # objective of the optimal path (path-ordered sum)
-    arrival_time_s: float   # binned arrival time at the exit node
+    value: float  # objective of the optimal path (path-ordered sum)
     budget_s: float
     stats: SolveStats
     states: list = field(default_factory=list)  # (node, speed_bin, time_bin) path
@@ -222,19 +215,18 @@ def optimize(
     b: BatteryModel,
     g: DpGridSpec | None = None,
     prices: Prices | None = None,
-    rules: RegularDriverRules | None = None,
-    budget_s: float | None = None,
+    *,
+    budget_s: float,
 ) -> DpResult:
     """Minimum-cost feasible speed trajectory through the corridor.
 
     Enters at the speed limit at t=0 and must exit at the speed limit within
-    the time budget (the regular driver's trip time unless overridden).
-    Deterministic: cost ties at the exit are broken by earlier arrival.
+    `budget_s` (`study.run_scenario` passes `time_budget` of the regular
+    driver's trip). Deterministic: cost ties at the exit are broken by
+    earlier arrival.
     """
     g = g or DpGridSpec()
     prices = prices or Prices()
-    if budget_s is None:
-        budget_s = time_budget(simulate_regular(c, v, rules).trip_time_s, g)
     ctx = DpContext(c, v, b, g, prices, budget_s)
 
     fp = forward_pass(ctx)
@@ -292,7 +284,6 @@ def optimize(
         trajectory=traj,
         breakdown=breakdown,
         value=float(best_val),
-        arrival_time_s=path[-1][2] * float(ctx.dt[ctx.top]),
         budget_s=budget_s,
         stats=fp.stats,
         states=path,

@@ -36,7 +36,6 @@ class ScenarioSpec:
     red_s: float = 30.0
     green_s: float = 30.0
     variant: str = "standard"
-    decay_multiplier: float = 1.0
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     battery: BatteryModel = field(default_factory=BatteryModel)
     prices: Prices = field(default_factory=Prices)
@@ -47,11 +46,7 @@ class ScenarioSpec:
         return replace(self.vehicle, mass_kg=VEHICLE_VARIANTS[self.variant]["mass_kg"])
 
     def resolved_battery(self) -> BatteryModel:
-        return replace(
-            self.battery,
-            capacity_kwh=VEHICLE_VARIANTS[self.variant]["capacity_kwh"],
-            decay_multiplier=self.decay_multiplier,
-        )
+        return replace(self.battery, capacity_kwh=VEHICLE_VARIANTS[self.variant]["capacity_kwh"])
 
     def corridor(self) -> Corridor:
         return make_corridor(
@@ -90,30 +85,41 @@ def evaluate_trajectory(
     return record_arcs(traj, arcs)
 
 
+def percent_saving(before: float, after: float) -> float:
+    """How much smaller `after` is than `before`, in percent; 0 if `before` <= 0."""
+    return 100.0 * (before - after) / before if before > 0 else 0.0
+
+
 @dataclass
 class ScenarioResult:
     spec: ScenarioSpec
     regular: Trajectory
-    eco: Trajectory
     regular_cost: CostBreakdown
-    eco_cost: CostBreakdown
-    budget_s: float
     dp: DpResult
 
     @property
+    def eco(self) -> Trajectory:
+        return self.dp.trajectory
+
+    @property
+    def eco_cost(self) -> CostBreakdown:
+        return self.dp.breakdown
+
+    @property
+    def budget_s(self) -> float:
+        return self.dp.budget_s
+
+    @property
     def reduction_pct(self) -> float:
-        rt = self.regular_cost.total_usd
-        return 100.0 * (rt - self.eco_cost.total_usd) / rt if rt > 0 else 0.0
+        return percent_saving(self.regular_cost.total_usd, self.eco_cost.total_usd)
 
     @property
     def decay_reduction_pct(self) -> float:
-        rs = abs(self.regular_cost.soh_delta)
-        return 100.0 * (rs - abs(self.eco_cost.soh_delta)) / rs if rs > 0 else 0.0
+        return percent_saving(abs(self.regular_cost.soh_delta), abs(self.eco_cost.soh_delta))
 
     @property
     def energy_reduction_pct(self) -> float:
-        re = self.regular_cost.energy_kwh
-        return 100.0 * (re - self.eco_cost.energy_kwh) / re if re > 0 else 0.0
+        return percent_saving(self.regular_cost.energy_kwh, self.eco_cost.energy_kwh)
 
 
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
@@ -129,13 +135,13 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     regular = simulate_regular(c, vp, spec.rules)
     budget = time_budget(regular.trip_time_s, spec.grid)
     try:
-        res = optimize(c, vp, bat, spec.grid, spec.prices, spec.rules, budget_s=budget)
+        res = optimize(c, vp, bat, spec.grid, spec.prices, budget_s=budget)
     except InfeasibleScenarioError:
         fine = replace(spec.grid, speed_step_m_s=spec.grid.speed_step_m_s / 2.0)
-        res = optimize(c, vp, bat, fine, spec.prices, spec.rules, budget_s=budget)
+        res = optimize(c, vp, bat, fine, spec.prices, budget_s=budget)
     regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile)
     # the optimizer prices its plan arc by arc and fills the eco columns
-    return ScenarioResult(spec, regular, res.trajectory, regular_cost, res.breakdown, budget, res)
+    return ScenarioResult(spec, regular, regular_cost, res)
 
 
 @dataclass
@@ -247,7 +253,7 @@ def battery_size_study(
     jobs: int = 1,
 ) -> DecayComparisonResult:
     # the comparison targets a high-decay chemistry, hence the 10x default
-    base = replace(base, decay_multiplier=decay_multiplier)
+    base = replace(base, battery=base.battery.with_multiplier(decay_multiplier))
     small = sweep(replace(base, variant=small_variant), timings_s, spacings_m, jobs)
     large = sweep(replace(base, variant=large_variant), timings_s, spacings_m, jobs)
     cells = []
@@ -258,17 +264,14 @@ def battery_size_study(
                                     error=cs.error or cl.error)
             )
             continue
-
-        def red(a: CostBreakdown, b: CostBreakdown) -> float:
-            sa, sb = abs(a.soh_delta), abs(b.soh_delta)
-            return 100.0 * (sa - sb) / sa if sa > 0 else 0.0
-
         cells.append(
             DecayComparisonCell(
                 cs.timing,
                 cs.spacing_m,
-                red(cs.result.regular_cost, cl.result.regular_cost),
-                red(cs.result.eco_cost, cl.result.eco_cost),
+                percent_saving(abs(cs.result.regular_cost.soh_delta),
+                               abs(cl.result.regular_cost.soh_delta)),
+                percent_saving(abs(cs.result.eco_cost.soh_delta),
+                               abs(cl.result.eco_cost.soh_delta)),
             )
         )
     return DecayComparisonResult(cells, small, large)
@@ -283,10 +286,9 @@ def run_advisory_scenario(
     c = spec.corridor()
     vp = spec.resolved_vehicle()
     bat = spec.resolved_battery()
-    cfg = advisory_cfg or AdvisoryConfig(speed_limit_m_s=c.speed_limit_m_s)
     log: list = []
     regular = simulate_regular(c, vp, spec.rules)
-    advised = simulate_advised_driver(c, vp, driver, cfg, spec.rules, log=log)
+    advised = simulate_advised_driver(c, vp, driver, advisory_cfg, spec.rules, log=log)
     return {
         "regular": regular,
         "advised": advised,

@@ -147,7 +147,7 @@ def test_criterion_5_decay_rate_insensitivity(main_sweep, paper_cfg):
             time_to_red_first_s=15.0,
             time_to_red_second_s=15.0,
             spacing_m=s,
-            decay_multiplier=10.0,
+            battery=paper_cfg.base.battery.with_multiplier(10.0),
         )
         high = run_scenario(spec)
         low = main_sweep.cell(15.0, 15.0, s).result

@@ -20,16 +20,16 @@ RULES = RegularDriverRules()
 def test_green_wave_recommends_limit():
     c = make_corridor(500.0, 500.0, red_s=30.0, green_s=1000.0)
     cfg = AdvisoryConfig()
-    adv = recommend(0.0, cfg.speed_limit_m_s, 0.0, c, cfg)
-    assert adv.target_speed_m_s == pytest.approx(cfg.speed_limit_m_s)
+    adv = recommend(0.0, c.speed_limit_m_s, 0.0, c, cfg)
+    assert adv.target_speed_m_s == pytest.approx(c.speed_limit_m_s)
 
 
 def test_red_ahead_recommends_slowdown():
     # light 1 red on [0, 30): pace the approach to arrive at the onset
     c = make_corridor(0.0, 0.0, spacing_m=400.0)
     cfg = AdvisoryConfig()
-    adv = recommend(0.0, cfg.speed_limit_m_s, 0.0, c, cfg)
-    assert cfg.min_cruise_m_s <= adv.target_speed_m_s < cfg.speed_limit_m_s
+    adv = recommend(0.0, c.speed_limit_m_s, 0.0, c, cfg)
+    assert cfg.min_cruise_m_s <= adv.target_speed_m_s < c.speed_limit_m_s
     # 100 m to cover in the 30 s wait
     assert adv.target_speed_m_s == pytest.approx(100.0 / 30.0, abs=2.0)
 
@@ -37,7 +37,7 @@ def test_red_ahead_recommends_slowdown():
 def test_target_never_below_floor():
     c = make_corridor(0.0, -29.0, spacing_m=200.0)
     cfg = AdvisoryConfig()
-    adv = recommend(0.0, cfg.speed_limit_m_s, 0.0, c, cfg)
+    adv = recommend(0.0, c.speed_limit_m_s, 0.0, c, cfg)
     assert adv.target_speed_m_s >= cfg.min_cruise_m_s
 
 
@@ -45,7 +45,7 @@ def test_past_both_lights_recommends_limit():
     c = make_corridor(0.0, 0.0, spacing_m=400.0)
     cfg = AdvisoryConfig()
     adv = recommend(550.0, 10.0, 40.0, c, cfg)
-    assert adv.target_speed_m_s == pytest.approx(cfg.speed_limit_m_s)
+    assert adv.target_speed_m_s == pytest.approx(c.speed_limit_m_s)
 
 
 def test_advised_driver_never_crosses_red():
@@ -122,6 +122,12 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         AdvisoryConfig(update_rate_hz=0.0)
     with pytest.raises(ValueError):
-        AdvisoryConfig(min_cruise_m_s=30.0)
+        AdvisoryConfig(min_cruise_m_s=0.0)
+    # the cruise floor must sit below the corridor's limit (24.583 m/s)
+    c = make_corridor(0.0, 0.0)
+    with pytest.raises(ValueError, match="min_cruise_m_s < speed limit"):
+        simulate_advised_driver(c, VehicleParams(), cfg=AdvisoryConfig(min_cruise_m_s=30.0))
+    with pytest.raises(ValueError, match="min_cruise_m_s < speed limit"):
+        recommend(0.0, 10.0, 0.0, c, AdvisoryConfig(min_cruise_m_s=30.0))
     with pytest.raises(ValueError):
         DriverFollowingModel(reaction_delay_s=-1.0)

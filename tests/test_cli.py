@@ -19,7 +19,7 @@ def tiny_config(tmp_path):
             "signals": {"time_to_red_first_s": 15, "time_to_red_second_s": 15},
         },
         "vehicle": {"regen_enabled": False},
-        "grid": {"time_budget_mode": "buffered", "time_buffer_frac": 0.03},
+        "grid": {"time_buffer_frac": 0.03},
         "sweep": {"timings_s": [15], "spacings_m": [400]},
     }
     path = tmp_path / "tiny.json"

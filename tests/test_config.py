@@ -1,12 +1,18 @@
 """Tests for JSON configuration loading and overrides."""
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from ecocorridor.advisory import IDEAL_DRIVER
+from ecocorridor.advisory import IDEAL_DRIVER, AdvisoryConfig, DriverFollowingModel
+from ecocorridor.baseline import RegularDriverRules
+from ecocorridor.battery import BatteryModel
 from ecocorridor.cli import EXIT_VALIDATION, main
-from ecocorridor.config import ConfigError, load_config, override_cell
+from ecocorridor.config import OWNED_KEYS, ConfigError, load_config, override_cell
+from ecocorridor.costs import Prices
+from ecocorridor.dp import DpGridSpec, time_budget
+from ecocorridor.powertrain import VehicleParams
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -21,7 +27,6 @@ def test_load_paper_sweep_config():
     cfg = load_config(CONFIG_DIR / "paper_sweep.json")
     assert cfg.base.speed_limit_m_s == pytest.approx(88.5 / 3.6)
     assert not cfg.base.vehicle.regen_enabled
-    assert cfg.base.grid.time_budget_mode == "buffered"
     assert cfg.base.grid.time_buffer_frac == pytest.approx(0.03)
     assert cfg.base.exit_buffer_m == pytest.approx(200.0)
     assert cfg.timings_s == (-30.0, -15.0, 0.0, 15.0)
@@ -35,7 +40,6 @@ def test_load_field_test_config():
     assert cfg.base.spacing_m == pytest.approx(600.0)
     assert cfg.driver.reaction_delay_s == pytest.approx(1.0)
     assert cfg.driver.speed_tracking_time_constant_s == pytest.approx(2.0)
-    assert cfg.advisory.speed_limit_m_s == pytest.approx(cfg.base.speed_limit_m_s)
 
 
 def test_ideal_driver_flag(tmp_path):
@@ -64,6 +68,104 @@ def test_unknown_nested_key_rejected(tmp_path):
     path = write_cfg(tmp_path, {"vehicle": {"mass_lb": 3000}})
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize("block, key", [
+    # deleted settings: the grid's buffer fraction alone sets the budget, and
+    # the advisory uses the corridor's speed limit
+    ({"grid": {"time_budget_mode": "buffered"}}, "time_budget_mode"),
+    ({"advisory": {"speed_limit_m_s": 40}}, "speed_limit_m_s"),
+    # settings that another key owns
+    ({"vehicle": {"mass_kg": 3000}}, "vehicle.mass_kg"),
+    ({"battery": {"capacity_kwh": 100}}, "battery.capacity_kwh"),
+    ({"battery": {"coeff_table": [[0.5, 4336.46, 31514.85]]}}, "battery.coeff_table"),
+    ({"driver": {"ideal": True, "reaction_delay_s": 3}}, "driver.ideal"),
+    ({"driver": {"ideal": False, "reaction_delay_s": 3}}, "driver.ideal"),
+    # a cruise floor at or above the corridor's limit
+    ({"advisory": {"min_cruise_m_s": 30.0}}, "min_cruise_m_s"),
+])
+def test_shadowed_and_deleted_keys_exit_2(tmp_path, capsys, block, key):
+    path = write_cfg(tmp_path, block)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["advisory", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
+# config blocks that load_config builds field by field from a dataclass
+DATACLASS_BLOCKS = {
+    "vehicle": VehicleParams,
+    "battery": BatteryModel,
+    "prices": Prices,
+    "driver_rules": RegularDriverRules,
+    "grid": DpGridSpec,
+    "advisory": AdvisoryConfig,
+    "driver": DriverFollowingModel,
+}
+
+
+def _nudged(default):
+    """A valid value that differs from a field's default."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, int):
+        return default - 1
+    return 0.9 * default if default else 0.05
+
+
+def _accepted_keys(tmp_path) -> dict[str, object]:
+    """Every leaf key load_config accepts, with a valid non-default value.
+
+    The top-level `label` is free text that nothing reads, so it is left out.
+    """
+    csv = tmp_path / "coeffs.csv"
+    csv.write_text("c_rate,M,Ea_J_per_mol\n0.5,4000,31000\n10,5000,28000\n")
+    keys: dict[str, object] = {
+        "corridor.entry_buffer_m": 150,
+        "corridor.exit_buffer_m": 150,
+        "corridor.spacing_m": 600,
+        "corridor.speed_limit_kmh": 70,
+        "corridor.signals.time_to_red_first_s": 5,
+        "corridor.signals.time_to_red_second_s": 5,
+        "corridor.signals.red_s": 25,
+        "corridor.signals.green_s": 35,
+        "vehicle.variant": "long_range",
+        "battery.coefficients_csv": str(csv),
+        "driver.ideal": True,
+        "sweep.timings_s": [0],
+        "sweep.spacings_m": [200],
+    }
+    for block, cls in DATACLASS_BLOCKS.items():
+        default = cls()
+        for f in fields(cls):
+            if f"{block}.{f.name}" not in OWNED_KEYS:
+                keys[f"{block}.{f.name}"] = _nudged(getattr(default, f.name))
+    return keys
+
+
+def _resolved(cfg):
+    """Everything a run reads from a loaded config."""
+    s = cfg.base
+    # the buffer fraction acts only through the budget rule
+    return (
+        s.corridor(), s.resolved_vehicle(), s.resolved_battery(), s.prices, s.rules,
+        replace(s.grid, time_buffer_frac=0.0), time_budget(60.0, s.grid),
+        cfg.driver, cfg.advisory, cfg.timings_s, cfg.spacings_m,
+    )
+
+
+def test_every_accepted_key_is_read(tmp_path):
+    default = _resolved(load_config(write_cfg(tmp_path, {})))
+    ignored = []
+    for key, value in _accepted_keys(tmp_path).items():
+        *path, leaf = key.split(".")
+        payload = node = {}
+        for part in path:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        if _resolved(load_config(write_cfg(tmp_path, payload))) == default:
+            ignored.append(key)
+    assert ignored == []
 
 
 def test_battery_soh_is_an_unknown_key(tmp_path, capsys):

@@ -18,10 +18,16 @@ from ecocorridor.powertrain import VehicleParams
 from ecocorridor.trajectory import check_safety
 
 
+def _optimize(c):
+    """Default-grid plan within the regular driver's trip time."""
+    budget = time_budget(simulate_regular(c, VehicleParams()).trip_time_s, DpGridSpec())
+    return optimize(c, VehicleParams(), BatteryModel(), budget_s=budget)
+
+
 @pytest.fixture(scope="module")
 def solved():
     c = make_corridor(15.0, 15.0, spacing_m=400.0)
-    return c, optimize(c, VehicleParams(), BatteryModel())
+    return c, _optimize(c)
 
 
 def test_boundary_speeds(solved):
@@ -38,7 +44,6 @@ def test_arrival_within_budget(solved):
     _, res = solved
     g = DpGridSpec()
     allowance = g.signal_margin_s + 0.5 * g.time_step_s
-    assert res.arrival_time_s <= res.budget_s + allowance
     assert res.trajectory.trip_time_s <= res.budget_s + allowance
 
 
@@ -63,7 +68,6 @@ def test_speed_limit_respected(solved):
 def test_plan_is_safe(solved):
     c, res = solved
     assert res.trajectory.time_quantization_s > 0.0
-    assert res.arrival_time_s == res.trajectory.trip_time_s
     assert check_safety(res.trajectory, c, DpGridSpec(), res.budget_s) == []
 
 
@@ -76,8 +80,8 @@ def test_breakdown_matches_value(solved):
 
 def test_deterministic():
     c = make_corridor(0.0, -15.0, spacing_m=400.0)
-    a = optimize(c, VehicleParams(), BatteryModel())
-    b = optimize(c, VehicleParams(), BatteryModel())
+    a = _optimize(c)
+    b = _optimize(c)
     assert a.value == b.value
     assert np.array_equal(a.trajectory.t, b.trajectory.t)
     assert np.array_equal(a.trajectory.v, b.trajectory.v)
@@ -91,10 +95,11 @@ def test_impossible_budget_raises():
 
 def test_budget_modes():
     c = make_corridor(500.0, 500.0, red_s=30.0, green_s=1000.0)
-    exact = time_budget(simulate_regular(c, VehicleParams()).trip_time_s, DpGridSpec())
-    buffered = time_budget(
-        simulate_regular(c, VehicleParams()).trip_time_s, DpGridSpec(time_budget_mode="buffered")
-    )
+    trip = simulate_regular(c, VehicleParams()).trip_time_s
+    # the default buffer of 0 is the regular driver's trip time itself
+    exact = time_budget(trip, DpGridSpec())
+    assert exact == trip
+    buffered = time_budget(trip, DpGridSpec(time_buffer_frac=0.03))
     assert buffered == pytest.approx(1.03 * exact)
 
 
@@ -199,7 +204,7 @@ def _paper_cell(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=Fal
     if grade_profile is not None:
         c = replace(c, grade_profile=grade_profile)
     vp = VehicleParams(regen_enabled=regen)
-    g = DpGridSpec(time_budget_mode="buffered", speed_step_m_s=speed_step_m_s)
+    g = DpGridSpec(time_buffer_frac=0.03, speed_step_m_s=speed_step_m_s)
     budget = time_budget(simulate_regular(c, vp).trip_time_s, g)
     return c, vp, g, budget
 
@@ -391,4 +396,4 @@ def test_eco_columns_are_the_breakdown(x, y, spacing, regen, waits):
         assert traj.p_batt[k] == arc.power_w
         elec += arc.electricity_usd
     assert elec == res.breakdown.electricity_usd
-    assert res.breakdown.trip_time_s == traj.trip_time_s == res.arrival_time_s
+    assert res.breakdown.trip_time_s == traj.trip_time_s

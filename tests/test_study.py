@@ -37,7 +37,7 @@ def base_spec():
         spacing_m=400.0,
         exit_buffer_m=200.0,
         vehicle=VehicleParams(regen_enabled=False),
-        grid=DpGridSpec(time_budget_mode="buffered", time_buffer_frac=0.03),
+        grid=DpGridSpec(time_buffer_frac=0.03),
     )
 
 
@@ -121,7 +121,7 @@ def test_battery_size_study_small(base_spec, tmp_path):
     # the two pack sweeps the cells compare are kept on the result
     small, large = res.small.cells[0].result, res.large.cells[0].result
     assert small.spec.variant == "standard" and large.spec.variant == "long_range"
-    assert small.spec.decay_multiplier == large.spec.decay_multiplier == 10.0
+    assert small.spec.battery.decay_multiplier == large.spec.battery.decay_multiplier == 10.0
     sa, sb = abs(small.regular_cost.soh_delta), abs(large.regular_cost.soh_delta)
     assert cell.regular_reduction_pct == 100.0 * (sa - sb) / sa
     path = write_decay_comparison_csv(res, tmp_path / "decay.csv")
