@@ -34,11 +34,17 @@ class ConfigError(ValueError):
 
 
 def _build(cls, block: dict, name: str, **extra):
-    """Construct a dataclass from a JSON block, rejecting unknown keys."""
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(block) - allowed
+    """Construct a dataclass from a JSON block, rejecting unknown keys and
+    values of the wrong JSON type for a number or a flag."""
+    allowed = {f.name: f.type for f in fields(cls)}
+    unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' block: {sorted(unknown)}")
+    for key, value in block.items():
+        if allowed[key] in ("float", "int"):
+            _number(value, f"{name}.{key}")
+        elif allowed[key] == "bool":
+            _flag(value, f"{name}.{key}")
     try:
         return cls(**{**block, **extra})
     except (TypeError, ValueError) as exc:
@@ -133,7 +139,7 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
     driver_block = dict(raw.get("driver", {}))
     if "ideal" in driver_block and len(driver_block) > 1:
         raise ConfigError("'driver.ideal' sets every driver setting; drop the other 'driver' keys")
-    ideal = driver_block.pop("ideal", False)
+    ideal = _flag(driver_block.pop("ideal", False), "driver.ideal")
     driver = IDEAL_DRIVER if ideal else _build(
         DriverFollowingModel, driver_block, "driver"
     )
@@ -185,6 +191,12 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{name}' must be a number, got {value!r}")
     return float(value)
+
+
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{name}' must be true or false, got {value!r}")
+    return value
 
 
 def override_cell(cfg: RunConfig, timing: tuple[float, float] | None, spacing: float | None) -> ScenarioSpec:

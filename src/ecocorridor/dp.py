@@ -10,15 +10,14 @@ a priced trajectory.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .battery import BatteryModel
 from .corridor import Corridor
 from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
-from .forward import SolveStats, forward_pass
+from .forward import SolveStats, bins_within, forward_pass, time_order
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
@@ -108,12 +107,12 @@ class DpContext:
         # The departure gate refuses the first signal_margin_s of every green
         # window, so a driver who leaves exactly at an onset is delayed by the
         # margin; the allowance below returns that slack to the arrival check.
-        allowed = self.budget_s + grid.signal_margin_s
-        self.n_t = np.array(
-            [int(math.floor(allowed / d + 0.5)) + 1 for d in self.dt], dtype=int
-        )
-        # flat state layout: speed j holds states offsets[j]:offsets[j + 1]
+        self.allowed_s = self.budget_s + grid.signal_margin_s
+        self.n_t = bins_within(self.dt, self.allowed_s)
+        # speed-major index: bin tb of speed j is offsets[j] + tb
         self.offsets = np.concatenate(([0], np.cumsum(self.n_t)))
+        self.n_states = int(self.offsets[-1])
+        self.state_speed, self.state_bin, self.state_at = time_order(self.dt, self.n_t)
 
         self.grade_by_stage = np.array(
             [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
@@ -145,6 +144,13 @@ class DpContext:
                     cost[i, j] = arc.total_usd
                 dur[i, j] = arc.duration_s
                 srcs_by_dest[j].append(i)
+                # the arc must land in a bin that starts after its source bin
+                # does, however it rounds, so that states in time order only
+                # feed later states
+                if arc.duration_s - self.dt[j] + 0.5 * self.dt[i] <= 1e-6 * self.dt[j]:
+                    raise ValueError(
+                        f"distance_step_m is too short for the time bins: an arc from "
+                        f"{vi:g} to {vj:g} m/s could land in an earlier bin than it leaves")
         self._tables = {grade: {"cost": costs[grade], "dur": dur} for grade in grades}
         self._pairs = [np.array(s, dtype=int) for s in srcs_by_dest]
 
@@ -159,12 +165,18 @@ class DpContext:
     # ------------------------------------------------------------------
     def green_mask(self, node: int, speed_idx: int) -> np.ndarray | None:
         """Departure legality per time bin for arcs leaving a stop-line node."""
+        t = np.arange(self.n_t[speed_idx]) * float(self.dt[speed_idx])
+        return self._departure_allowed(node, t)
+
+    def green_states(self, node: int) -> np.ndarray | None:
+        """Departure legality per state for arcs leaving a stop-line node."""
+        return self._departure_allowed(node, self.state_bin * self.dt[self.state_speed])
+
+    def _departure_allowed(self, node: int, t: np.ndarray) -> np.ndarray | None:
         sig_idx = self.stop_nodes.get(node)
         if sig_idx is None:
             return None
         sig = self.corridor.signals[sig_idx]
-        dt_i = float(self.dt[speed_idx])
-        t = np.arange(self.n_t[speed_idx]) * dt_i
         margin = self.grid.signal_margin_s
         return self._green_at(sig, t) & self._green_at(sig, t - margin)
 
@@ -185,9 +197,12 @@ class DpContext:
         return 1e-7 if stage % 2 == 0 else -1e-7
 
     def unflatten(self, state: int) -> tuple[int, int]:
-        """(speed bin, time bin) of a flat state index."""
-        j = int(np.searchsorted(self.offsets, state, side="right")) - 1
-        return j, state - int(self.offsets[j])
+        """(speed bin, time bin) of a state."""
+        return int(self.state_speed[state]), int(self.state_bin[state])
+
+    def state(self, speed_idx: int, time_bin: int) -> int:
+        """The state of a (speed bin, time bin) pair."""
+        return int(self.state_at[self.offsets[speed_idx] + time_bin])
 
     def arc_arrival_bin(self, t_from: float, dur: float, dest_speed: int, stage: int) -> int:
         return int(np.rint((t_from + dur) / self.dt[dest_speed] + self.tie_eps(stage)))
@@ -200,7 +215,7 @@ class DpResult:
     value: float  # objective of the optimal path (path-ordered sum)
     budget_s: float
     stats: SolveStats
-    states: list = field(default_factory=list)  # (node, speed_bin, time_bin) path
+    states: np.ndarray  # (n, 3) int32: the path's (node, speed_bin, time_bin) rows
 
 
 def _diagnose_infeasibility(ctx: DpContext) -> str:
@@ -231,8 +246,8 @@ def optimize(
 
     fp = forward_pass(ctx)
     vals, waits = fp.vals, fp.waits
-    start = int(ctx.offsets[ctx.top])
-    final = vals[start:ctx.offsets[ctx.top + 1]]
+    exits = ctx.state_at[ctx.offsets[ctx.top]:ctx.offsets[ctx.top + 1]]
+    final = vals[exits]
     finite = np.isfinite(final)
     if not finite.any():
         binding = _diagnose_infeasibility(ctx)
@@ -243,14 +258,15 @@ def optimize(
 
     # backtrack
     path = []
-    k, s = ctx.n_nodes - 1, start + tb
+    start = ctx.state(ctx.top, 0)
+    k, s = ctx.n_nodes - 1, int(exits[tb])
     while True:
         j, tb = ctx.unflatten(s)
         path.append((k, j, tb))
         if k == 0 and s == start:
             break
         if j == 0 and k in waits and waits[k][tb]:
-            s -= 1
+            s = ctx.state(0, tb - 1)
             continue
         s = fp.pred(k, s)
         if s < 0:
@@ -286,5 +302,5 @@ def optimize(
         value=float(best_val),
         budget_s=budget_s,
         stats=fp.stats,
-        states=path,
+        states=np.array(path, dtype=np.int32),
     )

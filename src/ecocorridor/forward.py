@@ -1,22 +1,26 @@
 """Forward value recursion of the dynamic-programming optimizer.
 
-A node's states are stored flat, speed-major: state (speed j, time bin tb)
-sits at ``offsets[j] + tb``. An arc's duration and feasibility do not depend
-on the grade, so its arrival bin depends only on the stage parity: each
-parity gets one plan per solve that lists every candidate arc grouped by
-destination state, and a stage is a gather, an add and a segment minimum
-over that plan, priced from the cost table of the stage's grade. Ties
-between equal-cost arcs go to the lowest source speed, then the latest
-source bin.
+States are numbered in time order (``time_order``), so the states of a
+budget are a prefix of one numbering per grid. An arc's duration and
+feasibility do not depend on the grade or the budget, so its arrival state
+depends only on the grid and the stage parity: each parity has one plan per
+grid that lists every candidate arc grouped by destination state, in state
+order. The plan of the last grid solved is kept, and a stage relaxes one
+contiguous run of its groups: a gather, an add and a segment minimum,
+priced from the cost table of the stage's grade. Ties between equal-cost
+arcs go to the lowest source speed, then the latest source bin.
 
-A stage relaxes only the states of its window: per destination speed, the
+A stage sets only the states of its window: per destination speed, the
 bins between the earliest and the latest arrival from the reached source
 bins, capped by a latest-bin bound past which the exit can no longer be
 reached in time. Every state on a feasible path lies inside the windows,
 and it gets the same value and predecessor as from the full recursion.
+Predecessors are not stored: the backtrack recomputes each one from the
+values that the previous node's departures read.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -26,13 +30,41 @@ if TYPE_CHECKING:
     from .dp import DpContext
 
 # Candidate arcs per numpy call in the forward pass and in the plan build. It
-# bounds each temporary to about 128 KiB of float64 plus one destination
-# speed's arcs, whatever the grid size; at 2**16 the temporaries left the
-# allocator's heap for fresh pages, and the page faults cost more time and
-# memory than the extra calls at 2**14.
+# bounds each temporary to about 128 KiB of float64 plus one group's arcs,
+# whatever the grid size; at 2**16 the temporaries left the allocator's heap
+# for fresh pages, and the page faults cost more time and memory than the
+# extra calls at 2**14.
 _CHUNK = 1 << 14
 # first bin of an empty window; above every bin of any grid
 _NO_BIN = np.iinfo(np.int32).max
+
+
+def bins_within(dt: np.ndarray, allowed_s: float) -> np.ndarray:
+    """Per speed, the number of time bins that start by ``allowed_s``: bin
+    tb holds the arrivals that round to it, from (tb - 1/2) dt on."""
+    return np.array([
+        np.searchsorted((np.arange(math.floor(allowed_s / d + 0.5) + 2) - 0.5) * d, allowed_s,
+                        side="right")
+        for d in dt.tolist()
+    ])
+
+
+def time_order(dt: np.ndarray, n_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the states with ``n_t[j]`` time bins at speed ``j`` in time
+    order: by the start of their bin, (tb - 1/2) dt[j], then by speed.
+
+    Returns each state's speed and bin, and the state of each speed-major
+    index ``offsets[j] + tb``. The order of two states does not depend on
+    ``n_t``, so the states that start by a given time, the states of a
+    budget (``bins_within``), are a prefix of one numbering of the grid.
+    """
+    speed = np.repeat(np.arange(len(n_t)), n_t)
+    tb = np.arange(len(speed)) - np.repeat(np.cumsum(n_t) - n_t, n_t)
+    order = np.argsort((tb - 0.5) * dt[speed], kind="stable")
+    at = np.empty(len(order), dtype=np.int32)
+    at[order] = np.arange(len(order))
+    return (speed[order].astype(np.min_scalar_type(len(n_t))),
+            tb[order].astype(np.min_scalar_type(max(n_t))), at)
 
 
 @dataclass(frozen=True)
@@ -40,14 +72,8 @@ class SolveStats:
     """Size of one solve."""
 
     states: int      # grid states over all nodes
-    candidates: int  # motion-arc candidates in the full plans, over all stages
-    relaxed: int     # candidates inside the stages' windows, the ones evaluated
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``arange(lo[r], hi[r])`` for every r, concatenated."""
-    n = hi - lo
-    return np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    candidates: int  # motion-arc candidates into the budget's states, over all stages
+    relaxed: int     # candidates of the stages' relaxed runs, the ones evaluated
 
 
 class _Pairs(NamedTuple):
@@ -92,68 +118,111 @@ class _Pairs(NamedTuple):
             tb -= down
 
 
-def _chunks(counts: np.ndarray) -> list[tuple[int, int]]:
-    """Runs ``[a, b)`` of whole destination speeds, each closed once it holds
-    ``_CHUNK`` of ``counts``; runs that would hold nothing are dropped."""
-    bounds, held = [0], 0
-    for j, n in enumerate(counts.tolist()):
-        held += n
-        if held >= _CHUNK:
-            bounds.append(j + 1)
-            held = 0
-    if held:
-        bounds.append(len(counts))
-    return list(zip(bounds, bounds[1:]))
+def _reduce_runs(ufunc: np.ufunc, values: np.ndarray, cut: np.ndarray, empty) -> np.ndarray:
+    """``ufunc`` over each run ``values[cut[r]:cut[r + 1]]``; ``empty`` for
+    an empty run. Faster than ``ufunc.at`` by an order of magnitude."""
+    out = ufunc.reduceat(values, cut[:-1].clip(max=len(values) - 1))
+    return np.where(cut[1:] > cut[:-1], out, empty)
 
 
-def _build_plan(ctx: DpContext, pairs: _Pairs, stage: int) -> tuple[np.ndarray, ...]:
-    """Every motion arc leaving a node of this stage's parity.
+class _Plan(NamedTuple):
+    """Every motion arc of one stage parity, grouped by destination state.
 
-    Candidates are grouped by destination state in flat order, so the groups
-    of one destination speed are a contiguous run in ascending time bin.
-    Within a group they are ordered by source speed ascending, then source
-    bin descending, so a group's first minimum breaks cost ties toward the
-    lowest source speed, then the latest source bin. The plan is ``(src,
-    pair, dest, starts, sizes)``: candidate ``c`` relaxes flat state
-    ``src[c]`` at cost ``cost.ravel()[pair[c]]``, and group ``g`` holds the
-    ``sizes[g]`` candidates ``starts[g]:starts[g + 1]`` and lands on flat
-    state ``dest[g]``. It is built a chunk of destination speeds at a time.
+    Group ``g`` lands on state ``g`` and holds candidates
+    ``starts[g]:starts[g + 1]``: candidate ``c`` relaxes state ``src[c]`` at
+    cost ``cost.ravel()[pair[c]]``. Within a group, candidates are ordered by
+    source speed ascending, then source bin descending, so a group's first
+    minimum breaks cost ties toward the lowest source speed, then the latest
+    source bin. ``filled`` marks the groups that hold a candidate.
     """
-    pair_type = np.min_scalar_type(ctx.n_v * ctx.n_v)
+
+    src: np.ndarray
+    pair: np.ndarray
+    starts: np.ndarray
+    filled: np.ndarray
+
+
+@dataclass(frozen=True)
+class _GridPlan:
+    """Both stage parities' plans of one grid, over a prefix of its states."""
+
+    grid: tuple      # what the plan depends on: speeds, bin widths, dx, acceleration bounds
+    allowed_s: float  # it covers every state whose bin starts by this time
+    parity: tuple[_Plan, _Plan]
+
+
+# The plan of the last grid solved. A solve's results do not depend on it:
+# any plan of the grid that covers the budget holds the same groups for the
+# budget's states. One grid at a time bounds the memory it holds.
+_kept: list[_GridPlan] = []
+# The longest time a solve of each of the last two grids needed, so that a
+# study that alternates between two grids (a retry on a finer one) rebuilds
+# the plan of the first at its full size at once, not once per longer budget.
+_longest: dict[tuple, float] = {}
+
+
+def _grid_plan(ctx: DpContext, pairs: _Pairs) -> _GridPlan:
+    """The kept plan if it is of ``ctx``'s grid and covers its budget, else
+    a new plan over the longest time a solve of the grid has needed, which
+    replaces it."""
+    g = ctx.grid
+    grid = (ctx.speeds.tobytes(), ctx.dt.tobytes(), ctx.dx, g.accel_max_m_s2, g.decel_min_m_s2)
+    allowed = _longest[grid] = max(ctx.allowed_s, _longest.pop(grid, 0.0))
+    while len(_longest) > 2:
+        del _longest[next(iter(_longest))]
+    if _kept and _kept[0].grid == grid and _kept[0].allowed_s >= ctx.allowed_s:
+        return _kept[0]
+    _kept.clear()
+    n_t = bins_within(ctx.dt, allowed)
+    _, _, at = time_order(ctx.dt, n_t)
+    pairs = pairs._replace(n_i=n_t[pairs.i])
+    plan = _GridPlan(grid, allowed,
+                     tuple(_build_plan(ctx, pairs, n_t, at, parity) for parity in (0, 1)))
+    _kept.append(plan)
+    return plan
+
+
+def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
+                stage: int) -> _Plan:
+    """The plan of a stage parity over the states with ``n_t`` bins per speed,
+    numbered ``at`` (``time_order``). It is built a run of destination
+    states at a time, each run holding at most two chunks of candidates."""
     eps = ctx.tie_eps(stage)
-    # arrival is nondecreasing in the source bin, so the arcs that land on the
-    # grid leave the first n bins of their source speed
-    n = pairs.last_bins(ctx.n_t[pairs.j] - 1, eps) + 1
-    per_dest = np.zeros(ctx.n_v, dtype=np.int64)
-    np.add.at(per_dest, pairs.j, n)
-    src = np.empty(n.sum(), dtype=np.int32)
-    pair = np.empty(n.sum(), dtype=pair_type)
-    dests, starts, held = [], [], 0
-    for ja, jb in _chunks(per_dest):
-        p0, p1 = np.searchsorted(pairs.j, [ja, jb])
-        m = n[p0:p1]
-        arcs = _Pairs(*(np.repeat(a[p0:p1], m) for a in pairs))  # one per candidate
-        # each source's bins, latest first
-        tb = np.repeat(np.cumsum(m), m) - 1 - np.arange(m.sum())
-        # flat destination from the chunk's first state; it fits 16 bits on
-        # any practical grid, where a stable argsort is a radix sort
-        span = int(ctx.offsets[jb] - ctx.offsets[ja])
-        dest = ctx.offsets[arcs.j] - ctx.offsets[ja] + arcs.arrival_bins(tb, eps)
-        dest = dest.astype(np.min_scalar_type(span))
-        # stable, so sources keep their (speed ascending, bin descending) order
-        order = np.argsort(dest, kind="stable")
-        dest = dest[order]
-        opens = np.ones(len(dest), dtype=bool)
-        np.not_equal(dest[1:], dest[:-1], out=opens[1:])
-        first = np.flatnonzero(opens)
-        src[held:held + len(dest)] = (ctx.offsets[arcs.i] + tb)[order]
-        pair[held:held + len(dest)] = (arcs.i * ctx.n_v + arcs.j)[order]
-        dests.append((ctx.offsets[ja] + dest[first]).astype(np.int32))
-        starts.append(held + first)
-        held += len(dest)
-    starts.append([held])
-    starts = np.concatenate(starts).astype(np.int32)
-    return src, pair, np.concatenate(dests), starts, np.diff(starts)
+    offsets = np.concatenate(([0], np.cumsum(n_t)))
+    n = len(at)
+
+    def landing_before(state: int) -> np.ndarray:
+        """Per pair, the source bins whose arcs land on a state before ``state``."""
+        bins = [np.searchsorted(at[offsets[j]:offsets[j + 1]], state) for j in range(ctx.n_v)]
+        return pairs.last_bins(np.array(bins)[pairs.j] - 1, eps) + 1
+
+    total = landing_before(n)
+    src = np.empty(total.sum(), dtype=np.int32)
+    pair = np.empty(total.sum(), dtype=np.min_scalar_type(ctx.n_v * ctx.n_v))
+    sizes = np.zeros(n, dtype=np.int64)
+    step = max(1, n * _CHUNK // max(1, int(total.sum())))
+    a, low, held = 0, np.zeros_like(total), 0
+    while a < n:
+        b = min(n, a + step)
+        high = landing_before(b)
+        while b > a + 1 and (high - low).sum() > 2 * _CHUNK:
+            b = (a + b) // 2
+            high = landing_before(b)
+        m = high - low
+        arcs = _Pairs(*(np.repeat(x, m) for x in pairs))  # one per candidate
+        # each pair's source bins, latest first
+        tb = np.repeat(high, m) - 1 - (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
+        dest = at[offsets[arcs.j] + arcs.arrival_bins(tb, eps).astype(np.int64)] - a
+        # a stable radix sort, so sources keep their (speed ascending, bin
+        # descending) order within a destination
+        order = np.argsort(dest.astype(np.min_scalar_type(b - a)), kind="stable")
+        src[held:held + len(order)] = at[offsets[arcs.i] + tb][order]
+        pair[held:held + len(order)] = (arcs.i * ctx.n_v + arcs.j)[order]
+        sizes[a:b] = np.bincount(dest, minlength=b - a)
+        held += len(order)
+        a, low = b, high
+    starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)
+    return _Plan(src, pair, starts, sizes > 0)
 
 
 def _latest_bins(ctx: DpContext, pairs: _Pairs) -> np.ndarray:
@@ -167,92 +236,132 @@ def _latest_bins(ctx: DpContext, pairs: _Pairs) -> np.ndarray:
     """
     latest = np.full((ctx.n_nodes, ctx.n_v), -1)
     latest[-1, ctx.top] = ctx.n_t[ctx.top] - 1
+    by_source = np.argsort(pairs.i, kind="stable")
+    cut = np.searchsorted(pairs.i[by_source], np.arange(ctx.n_v + 1))
     for k in range(ctx.n_nodes - 2, -1, -1):
-        np.maximum.at(latest[k], pairs.i, pairs.last_bins(latest[k + 1, pairs.j], ctx.tie_eps(k)))
+        last = pairs.last_bins(latest[k + 1, pairs.j], ctx.tie_eps(k))
+        latest[k] = _reduce_runs(np.maximum, last[by_source], cut, -1)
     return latest
 
 
-def _window(ctx: DpContext, vals: np.ndarray, stage: int, latest: np.ndarray,
-            pairs: _Pairs) -> tuple[np.ndarray, np.ndarray]:
+def _reached_bins(ctx: DpContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per speed, the first and last bins of the states ``vals`` reaches;
+    ``_NO_BIN`` and -1 for a speed it does not reach."""
+    reached = np.flatnonzero(vals < np.inf)
+    speed = ctx.state_speed[reached]
+    count = np.bincount(speed, minlength=ctx.n_v)
+    end = np.cumsum(count)
+    bins = np.append(ctx.state_bin[reached][np.argsort(speed, kind="stable")], -1)
+    return np.where(count > 0, bins[end - count], _NO_BIN), np.where(count > 0, bins[end - 1], -1)
+
+
+def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
+            latest: np.ndarray, pairs: _Pairs, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per destination speed, the bins ``[lo, hi]`` this stage can set.
 
-    ``lo`` and the forward part of ``hi`` are the earliest and latest
-    arrivals from the reached source bins; arrival is nondecreasing in the
-    source bin, so each source speed's first and last reached bins give them.
-    ``hi`` is capped by the next node's latest-bin bound.
+    ``first`` and ``last`` bound the reached bins of each source speed, and
+    ``first`` is reached itself. Arrival is nondecreasing in the source bin,
+    so ``lo`` is the earliest arrival, and reached; the forward part of
+    ``hi`` is the latest arrival from ``last``, and it is capped by the next
+    node's latest-bin bound.
     """
-    lo = np.full(ctx.n_v, _NO_BIN)
-    hi = np.full(ctx.n_v, -1)
-    reached = np.flatnonzero(vals < np.inf)
-    if len(reached):
-        cut = np.searchsorted(reached, ctx.offsets)
-        live = (cut[1:] > cut[:-1])[pairs.i]
-        first = reached[np.minimum(cut[:-1], len(reached) - 1)] - ctx.offsets[:-1]
-        last = reached[cut[1:] - 1] - ctx.offsets[:-1]
-        eps = ctx.tie_eps(stage)
-        early = pairs.arrival_bins(first[pairs.i], eps).astype(np.int64)
-        late = pairs.arrival_bins(last[pairs.i], eps).astype(np.int64)
-        np.minimum.at(lo, pairs.j, np.where(live, early, _NO_BIN))
-        np.maximum.at(hi, pairs.j, np.where(live, late, -1))
+    live = (first <= last)[pairs.i]
+    eps = ctx.tie_eps(stage)
+    early = np.where(live, pairs.arrival_bins(first[pairs.i], eps), _NO_BIN)
+    late = np.where(live, pairs.arrival_bins(last[pairs.i], eps), -1)
+    lo = _reduce_runs(np.minimum, early, cut, _NO_BIN).astype(np.int64)
+    hi = _reduce_runs(np.maximum, late, cut, -1).astype(np.int64)
     return lo, np.minimum(hi, latest)
 
 
-def _relax(ctx: DpContext, plan: tuple, vals: np.ndarray, cost: np.ndarray,
-           lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, tuple, int, int]:
+def _relax(ctx: DpContext, plan: _Plan, vals: np.ndarray, cost: np.ndarray,
+           lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, tuple[int, np.ndarray], int, int]:
     """One stage of motion arcs into the bins ``[lo[j], hi[j]]`` of each
     destination speed ``j``.
 
-    Returns the new values (inf outside the windows); the predecessors as
-    ``(dest, pred)``, ascending flat states with their first argmin (-1
-    where unreached); and the number of candidates evaluated and of chunks
+    It relaxes the run of groups from the earliest window state to the
+    latest one and keeps the states inside the windows. Returns the new
+    values (inf outside the windows); the run as its first state and its
+    values; the number of candidates evaluated; and the number of chunks
     they took.
     """
-    src, pair, dest, starts, group_sizes = plan
     new = np.full(len(vals), np.inf)
-    base = ctx.offsets[:-1]
-    g0 = np.searchsorted(dest, base + lo)
-    g1 = np.maximum(np.searchsorted(dest, base + hi, side="right"), g0)
-    c0, c1 = starts[g0], starts[g1]
-    chunks = _chunks(c1 - c0)
-    dests, preds = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    for a, b in chunks:
-        groups = _ranges(g0[a:b], g1[a:b])
-        sizes = group_sizes[groups]
-        firsts = np.cumsum(sizes) - sizes
-        cand_idx = _ranges(c0[a:b], c1[a:b])
-        s = src[cand_idx]
-        cand = vals[s] + cost[pair[cand_idx]]
-        best = np.minimum.reduceat(cand, firsts)
-        # every group holds its own minimum (inf too), so the first hit at
-        # or after a group's start lies inside that group
-        hits = np.flatnonzero(cand == np.repeat(best, sizes))
-        d = dest[groups]
-        new[d] = best
-        dests.append(d)
-        preds.append(np.where(best < np.inf, s[hits[np.searchsorted(hits, firsts)]], -1))
-    return new, (np.concatenate(dests), np.concatenate(preds)), int((c1 - c0).sum()), len(chunks)
+    live = np.flatnonzero(lo <= hi)
+    if not len(live):
+        return new, (0, np.zeros(0)), 0, 0
+    base = ctx.offsets[live]
+    g0 = int(ctx.state_at[base + lo[live]].min())
+    g1 = int(ctx.state_at[base + hi[live]].max()) + 1
+    starts = plan.starts
+    run = np.full(g1 - g0, np.inf)
+    chunks = 0
+    a = g0
+    while a < g1:
+        # whole groups of at most _CHUNK candidates, and at least one group
+        b = min(g1, max(a + 1, int(np.searchsorted(starts, starts[a] + _CHUNK, side="right")) - 1))
+        # empty groups at the end of a chunk stay inf
+        e = int(np.searchsorted(starts[a:b + 1], starts[b])) + a
+        if e > a:
+            ca, ce = int(starts[a]), int(starts[e])
+            # numpy indexes with intp; casting first is twice as fast as
+            # letting the indexing cast the narrow plan arrays
+            cand = vals[plan.src[ca:ce].astype(np.intp)]
+            cand += cost[plan.pair[ca:ce].astype(np.intp)]
+            best = np.minimum.reduceat(cand, starts[a:e] - ca)
+            cap = hi[ctx.state_speed[a:e].astype(np.intp)]
+            keep = plan.filled[a:e] & (ctx.state_bin[a:e] <= cap)
+            run[a - g0:e - g0] = np.where(keep, best, np.inf)
+            chunks += 1
+        a = b
+    new[g0:g1] = run
+    return new, (g0, run), int(starts[g1] - starts[g0]), chunks
 
 
 @dataclass
 class ForwardPass:
-    vals: np.ndarray              # exit-node values, flat
-    preds: list[tuple]            # per node: (dest, pred) as from _relax
+    vals: np.ndarray              # exit-node values, per state
+    # per node but the exit: the values its departures read (after waits
+    # and the green gate), as a first state and the run of values from it
+    # that holds every reached state
+    departures: list[tuple[int, np.ndarray]]
     waits: dict[int, np.ndarray]  # per stop-line node: zero-speed bins a wait arc gave
     lo: np.ndarray                # (node, speed): first bin of the state window
     latest: np.ndarray            # (node, speed): last bin of the state window
     stats: SolveStats
     chunks: int                   # chunks relaxed over all stages
+    ctx: DpContext
+    plan: _GridPlan               # the plan the stages relaxed
 
     def pred(self, node: int, state: int) -> int:
-        """Flat state at the previous node that gave ``state`` at ``node``
-        its value, or -1."""
-        dest, pred = self.preds[node]
-        at = int(np.searchsorted(dest, state))
-        return int(pred[at]) if at < len(dest) and dest[at] == state else -1
+        """State at the previous node that gave ``state`` at ``node`` its
+        value, or -1: the first minimum of the state's group, recomputed
+        from the values the previous node's departures read, as the stage
+        computed it."""
+        j, tb = self.ctx.unflatten(state)
+        if node == 0 or not self.lo[node, j] <= tb <= self.latest[node, j]:
+            return -1
+        plan = self.plan.parity[(node - 1) % 2]
+        a, b = int(plan.starts[state]), int(plan.starts[state + 1])
+        first, dep = self.departures[node - 1]
+        at = plan.src[a:b] - first
+        reached = (at >= 0) & (at < len(dep))  # the run holds every reached source
+        cand = np.full(b - a, np.inf)
+        cand[reached] = dep[at[reached]]
+        cand += self.ctx.tables(node - 1)["cost"].ravel()[plan.pair[a:b]]
+        best = int(np.argmin(cand)) if b > a else 0
+        return int(plan.src[a + best]) if b > a and cand[best] < np.inf else -1
+
+
+def _run(vals: np.ndarray) -> tuple[int, np.ndarray]:
+    """First reached state and the values from it to the last reached one."""
+    reached = np.flatnonzero(vals < np.inf)
+    if not len(reached):
+        return 0, np.zeros(0)
+    return int(reached[0]), vals[reached[0]:reached[-1] + 1].copy()
 
 
 def forward_pass(ctx: DpContext) -> ForwardPass:
-    """Forward value recursion over flat states.
+    """Forward value recursion over the states in time order.
 
     Only states inside a node's window, bins ``lo`` to ``latest`` per speed,
     are set; every state that lies on a feasible path is inside. A state
@@ -261,38 +370,44 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
     """
     pairs = _Pairs.of(ctx)
     latest = _latest_bins(ctx, pairs)
+    plan = _grid_plan(ctx, pairs)
+    by_dest = np.searchsorted(pairs.j, np.arange(ctx.n_v + 1))
     lo = np.full((ctx.n_nodes, ctx.n_v), _NO_BIN)
-    vals = np.full(int(ctx.offsets[-1]), np.inf)
+    hi = np.full(ctx.n_v, -1)
+    vals = np.full(ctx.n_states, np.inf)
     if latest[0, ctx.top] >= 0:
-        vals[ctx.offsets[ctx.top]] = 0.0
-        lo[0, ctx.top] = 0
-    preds = [(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32))]
+        vals[ctx.state(ctx.top, 0)] = 0.0
+        lo[0, ctx.top] = hi[ctx.top] = 0
+    departures: list[tuple[int, np.ndarray]] = []
     waits: dict[int, np.ndarray] = {}
-    plans: dict[int, tuple] = {}
+    run = _run(vals)
     candidates = relaxed = chunks = 0
 
     for k in range(ctx.n_nodes - 1):
+        first, last = lo[k], hi
         if k in ctx.stop_nodes:
             # wait arcs at a stop-line node, applied on arrival before
-            # departure to the zero-speed states (the first n_t[0] flat
-            # states); each one extends the previous, so they run in order
+            # departure to the zero-speed states; each one extends the
+            # previous, so they run in order
             w = ctx.wait_cost.total_usd
             waited = waits[k] = np.zeros(ctx.n_t[0], dtype=bool)
+            zero = ctx.state_at[:ctx.n_t[0]]
+            v0 = vals[zero].tolist()
             for tb in range(lo[k, 0] + 1, latest[k, 0] + 1):
-                cand = vals[tb - 1] + w
-                if cand < vals[tb]:
-                    vals[tb] = cand
+                cand = v0[tb - 1] + w
+                if cand < v0[tb]:
+                    v0[tb] = cand
                     waited[tb] = True
-            green = np.concatenate([ctx.green_mask(k, i) for i in range(ctx.n_v)])
-            vals = np.where(green, vals, np.inf)
-        if k % 2 not in plans:
-            plans[k % 2] = _build_plan(ctx, pairs, k)
-        lo[k + 1], hi = _window(ctx, vals, k, latest[k + 1], pairs)
-        vals, pred, n, c = _relax(ctx, plans[k % 2], vals, ctx.tables(k)["cost"].ravel(),
-                                  lo[k + 1], hi)
-        preds.append(pred)
-        candidates += len(plans[k % 2][0])
+            vals[zero] = v0
+            vals = np.where(ctx.green_states(k), vals, np.inf)
+            first, last = _reached_bins(ctx, vals)
+            run = _run(vals)
+        departures.append(run)
+        plan_k = plan.parity[k % 2]
+        lo[k + 1], hi = _window(ctx, first, last, k, latest[k + 1], pairs, by_dest)
+        vals, run, n, c = _relax(ctx, plan_k, vals, ctx.tables(k)["cost"].ravel(), lo[k + 1], hi)
+        candidates += int(plan_k.starts[ctx.n_states])
         relaxed += n
         chunks += c
-    stats = SolveStats(int(ctx.offsets[-1]) * ctx.n_nodes, candidates, relaxed)
-    return ForwardPass(vals, preds, waits, lo, latest, stats, chunks)
+    stats = SolveStats(ctx.n_states * ctx.n_nodes, candidates, relaxed)
+    return ForwardPass(vals, departures, waits, lo, latest, stats, chunks, ctx, plan)

@@ -106,21 +106,15 @@ class Trajectory:
         return t0 + w * (t1 - t0)
 
     def to_csv(self, path) -> None:
+        columns = (
+            (self.t, "{:.6f}"), (self.x, "{:.6f}"), (self.v, "{:.6f}"), (self.a, "{:.6f}"),
+            (self.p_batt, "{:.3f}"), (self.energy_cum, "{:.3f}"), (self.soh_delta_cum, "{:.12e}"),
+        )
+        cells = [list(map(fmt.format, col.tolist())) for col, fmt in columns]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for k in range(len(self)):
-                writer.writerow(
-                    [
-                        f"{self.t[k]:.6f}",
-                        f"{self.x[k]:.6f}",
-                        f"{self.v[k]:.6f}",
-                        f"{self.a[k]:.6f}",
-                        f"{self.p_batt[k]:.3f}",
-                        f"{self.energy_cum[k]:.3f}",
-                        f"{self.soh_delta_cum[k]:.12e}",
-                    ]
-                )
+            writer.writerows(zip(*cells))
 
 
 def check_safety(traj: Trajectory, corridor: Corridor, bounds, budget_s: float | None = None) -> list[str]:

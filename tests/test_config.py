@@ -92,6 +92,24 @@ def test_shadowed_and_deleted_keys_exit_2(tmp_path, capsys, block, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block, key", [
+    # any truthy value used to select the ideal driver
+    ({"driver": {"ideal": "no"}}, "driver.ideal"),
+    ({"driver": {"ideal": 1}}, "driver.ideal"),
+    # a boolean used to load as the number 1, a string as itself
+    ({"battery": {"decay_multiplier": True}}, "battery.decay_multiplier"),
+    ({"grid": {"time_step_s": "0.25"}}, "grid.time_step_s"),
+    ({"advisory": {"lookahead_lights": False}}, "advisory.lookahead_lights"),
+    ({"vehicle": {"regen_enabled": "no"}}, "vehicle.regen_enabled"),
+])
+def test_wrong_json_types_exit_2(tmp_path, capsys, block, key):
+    path = write_cfg(tmp_path, block)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["advisory", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
 # config blocks that load_config builds field by field from a dataclass
 DATACLASS_BLOCKS = {
     "vehicle": VehicleParams,

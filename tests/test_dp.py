@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecocorridor import dp
+from ecocorridor import dp, forward
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.corridor import (
@@ -114,6 +114,17 @@ def test_grid_validation():
                 {"decel_min_m_s2": 0.0}, {"decel_min_m_s2": 1.0}, {"signal_margin_s": -0.1}):
         with pytest.raises(ValueError):
             DpGridSpec(**bad)
+
+
+def test_arcs_must_advance_the_clock():
+    # at 1 s bins a 10 m arc near the limit (0.41 s) could round into a bin
+    # that starts before its source bin, so no order by time could number
+    # the states; at 0.25 s bins it cannot
+    c = make_corridor(15.0, 15.0)
+    args = (c, VehicleParams(), BatteryModel())
+    with pytest.raises(ValueError, match="too short for the time bins"):
+        dp.DpContext(*args, DpGridSpec(time_step_s=1.0, boundary_time_step_s=1.0), Prices(), 60.0)
+    dp.DpContext(*args, DpGridSpec(time_step_s=0.25, boundary_time_step_s=0.25), Prices(), 60.0)
 
 
 def test_matches_enumeration_on_tiny_instances():
@@ -248,38 +259,37 @@ def _reaches_exit(ctx, signals=True):
 def _assert_matches_reference(ctx):
     """The windowed pass against the loop: identical on every state inside
     a node's window, unset outside it, and no state the loop reaches outside
-    the window can reach the exit. Returns the pass and how many reached
-    states fell outside the windows."""
+    the window can reach the exit. Predecessors come from ``fp.pred`` and
+    are read back as (speed, bin) through ``ctx.unflatten``. Returns the pass
+    and how many reached states fell outside the windows."""
     ref_vals, ref_preds = _reference_forward_pass(ctx)
     fp = forward_pass(ctx)
     reaches = _reaches_exit(ctx)
-    assert len(fp.preds) == len(ref_preds) == ctx.n_nodes
+    assert len(fp.lo) == len(fp.latest) == len(ref_preds) == ctx.n_nodes
     dropped = 0
     for k, ref in enumerate(ref_preds):
-        dest, stored = fp.preds[k]
-        pred = np.full(int(ctx.offsets[-1]), -1)
-        pred[dest] = stored
-        src_v = np.searchsorted(ctx.offsets, pred, side="right") - 1
-        v = np.where(pred < 0, -1, src_v)
-        t = np.where(pred < 0, -1, pred - ctx.offsets[src_v])
-        wait = np.zeros(len(pred), dtype=bool)
-        if k in fp.waits:
-            wait[: ctx.n_t[0]] = fp.waits[k]
         for j in range(ctx.n_v):
-            lo, hi = ctx.offsets[j], ctx.offsets[j + 1]
+            states = [ctx.state(j, tb) for tb in range(ctx.n_t[j])]
+            assert [ctx.unflatten(s) for s in states] == [(j, tb) for tb in range(ctx.n_t[j])]
+            preds = [fp.pred(k, s) for s in states]
+            v = np.array([ctx.unflatten(p)[0] if p >= 0 else -1 for p in preds])
+            t = np.array([ctx.unflatten(p)[1] if p >= 0 else -1 for p in preds])
+            wait = np.zeros(ctx.n_t[j], dtype=bool)
+            if k in fp.waits and j == 0:
+                wait[:] = fp.waits[k]
             tb = np.arange(ctx.n_t[j])
             inside = (tb >= fp.lo[k, j]) & (tb <= fp.latest[k, j])
-            for key, got in (("v", v[lo:hi]), ("t", t[lo:hi]), ("wait", wait[lo:hi])):
+            for key, got in (("v", v), ("t", t), ("wait", wait)):
                 assert np.array_equal(ref[j][key][inside], got[inside]), (k, j, key)
-            assert (v[lo:hi][~inside] == -1).all(), (k, j)
-            assert not wait[lo:hi][~inside].any(), (k, j)
+            assert (v[~inside] == -1).all(), (k, j)
+            assert not wait[~inside].any(), (k, j)
             reached = (ref[j]["v"] >= 0) | ref[j]["wait"]
             if k == 0 and j == ctx.top:
                 reached[0] = True
             assert not (reached & ~inside & reaches[k][j]).any(), (k, j)
             dropped += int((reached & ~inside).sum())
             if k == ctx.n_nodes - 1:
-                got = fp.vals[lo:hi]
+                got = fp.vals[states]
                 assert ref_vals[j][inside].tobytes() == got[inside].tobytes(), j
                 assert np.isinf(got[~inside]).all(), j
     return fp, dropped
@@ -362,6 +372,55 @@ def test_empty_stage_is_infeasible():
     binding = "signal windows and time budget leave no feasible exit at the speed limit"
     assert exc.value.binding == binding
     assert str(exc.value) == f"no feasible eco trajectory: {binding}"
+
+
+def _fingerprint(cell):
+    """Everything a solve returns, as bytes: value, state path, trajectory
+    columns and solve statistics."""
+    c, vp, g, budget = cell
+    res = optimize(c, vp, BatteryModel(), g, Prices(), budget_s=budget)
+    traj = res.trajectory
+    columns = (traj.t, traj.x, traj.v, traj.a, traj.p_batt, traj.energy_cum, traj.soh_delta_cum)
+    return (np.float64(res.value).tobytes(), res.states.shape, res.states.tobytes(),
+            b"".join(col.tobytes() for col in columns), res.stats)
+
+
+def test_solve_does_not_depend_on_the_kept_plan():
+    long, short = _paper_cell(15.0, 15.0, 800.0), _paper_cell(0.0, 0.0, 200.0)
+    # the paper cell that is solved again with half the speed step
+    halved = _paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25)
+    assert long[3] > short[3]
+
+    def solve(cell, after=None):
+        forward._kept.clear()
+        forward._longest.clear()
+        if after is not None:
+            _fingerprint(after)
+        return _fingerprint(cell)
+
+    cold_long, cold_short = solve(long), solve(short)
+    assert solve(long, after=short) == cold_long    # plan grown from a smaller budget
+    assert solve(long, after=long) == cold_long     # plan of the same budget
+    assert solve(short, after=long) == cold_short   # prefix of a larger budget's plan
+    assert solve(long, after=halved) == cold_long   # plan of another grid replaced
+    assert solve(short, after=halved) == cold_short
+
+
+def test_one_grid_plan_is_kept():
+    # the paper grid's largest budget, 107.5 s, keeps its plan within 4 MB
+    largest = _paper_cell(0.0, 0.0, 800.0)
+    assert largest[3] == pytest.approx(107.46, abs=0.01)
+    _fingerprint(largest)
+    assert len(forward._kept) == 1
+    assert sum(a.nbytes for plan in forward._kept[0].parity for a in plan) <= 4e6
+    default = forward._kept[0]
+    _fingerprint(_paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25))
+    assert len(forward._kept) == 1 and forward._kept[0] is not default
+    halved = forward._kept[0]
+    c, g, budget = random_tiny_instance(np.random.default_rng(3))
+    optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
+    assert len(forward._kept) == 1 and forward._kept[0] is not halved
+    assert forward._kept[0].allowed_s == budget + g.signal_margin_s
 
 
 @pytest.mark.parametrize(
