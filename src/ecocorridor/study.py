@@ -137,6 +137,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     try:
         res = optimize(c, vp, bat, spec.grid, spec.prices, budget_s=budget)
     except InfeasibleScenarioError:
+        res = None
+    # retried outside the handler, whose traceback would keep the failed
+    # solve's forward pass alive through the retry
+    if res is None:
         fine = replace(spec.grid, speed_step_m_s=spec.grid.speed_step_m_s / 2.0)
         res = optimize(c, vp, bat, fine, spec.prices, budget_s=budget)
     regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile)
