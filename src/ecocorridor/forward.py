@@ -118,11 +118,22 @@ class _Pairs(NamedTuple):
             tb -= down
 
 
-def _reduce_runs(ufunc: np.ufunc, values: np.ndarray, cut: np.ndarray, empty) -> np.ndarray:
-    """``ufunc`` over each run ``values[cut[r]:cut[r + 1]]``; ``empty`` for
-    an empty run. Faster than ``ufunc.at`` by an order of magnitude."""
-    out = ufunc.reduceat(values, cut[:-1].clip(max=len(values) - 1))
-    return np.where(cut[1:] > cut[:-1], out, empty)
+class _Runs(NamedTuple):
+    """One run per speed over a per-pair array whose pairs are sorted by
+    that speed: a reduction over each run is faster than ``ufunc.at`` by an
+    order of magnitude."""
+
+    first: np.ndarray   # each run's first pair, clipped into the array
+    filled: np.ndarray  # the runs that hold a pair
+
+    @classmethod
+    def of(cls, speed: np.ndarray, n_v: int) -> "_Runs":
+        cut = np.searchsorted(speed, np.arange(n_v + 1))
+        return cls(cut[:-1].clip(max=len(speed) - 1), cut[1:] > cut[:-1])
+
+    def reduce(self, ufunc: np.ufunc, values: np.ndarray, empty) -> np.ndarray:
+        """``ufunc`` over each run; ``empty`` for an empty one."""
+        return np.where(self.filled, ufunc.reduceat(values, self.first), empty)
 
 
 class _Plan(NamedTuple):
@@ -173,8 +184,11 @@ def _grid_plan(ctx: DpContext, pairs: _Pairs) -> _GridPlan:
     if _kept and _kept[0].grid == grid and _kept[0].allowed_s >= ctx.allowed_s:
         return _kept[0]
     _kept.clear()
-    n_t = bins_within(ctx.dt, allowed)
-    _, _, at = time_order(ctx.dt, n_t)
+    if allowed == ctx.allowed_s:
+        n_t, at = ctx.n_t, ctx.state_at
+    else:
+        n_t = bins_within(ctx.dt, allowed)
+        _, _, at = time_order(ctx.dt, n_t)
     pairs = pairs._replace(n_i=n_t[pairs.i])
     plan = _GridPlan(grid, allowed,
                      tuple(_build_plan(ctx, pairs, n_t, at, parity) for parity in (0, 1)))
@@ -204,7 +218,7 @@ def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
     a, low, held = 0, np.zeros_like(total), 0
     while a < n:
         b = min(n, a + step)
-        high = landing_before(b)
+        high = total if b == n else landing_before(b)
         while b > a + 1 and (high - low).sum() > 2 * _CHUNK:
             b = (a + b) // 2
             high = landing_before(b)
@@ -237,10 +251,10 @@ def _latest_bins(ctx: DpContext, pairs: _Pairs) -> np.ndarray:
     latest = np.full((ctx.n_nodes, ctx.n_v), -1)
     latest[-1, ctx.top] = ctx.n_t[ctx.top] - 1
     by_source = np.argsort(pairs.i, kind="stable")
-    cut = np.searchsorted(pairs.i[by_source], np.arange(ctx.n_v + 1))
+    runs = _Runs.of(pairs.i[by_source], ctx.n_v)
     for k in range(ctx.n_nodes - 2, -1, -1):
         last = pairs.last_bins(latest[k + 1, pairs.j], ctx.tie_eps(k))
-        latest[k] = _reduce_runs(np.maximum, last[by_source], cut, -1)
+        latest[k] = runs.reduce(np.maximum, last[by_source], -1)
     return latest
 
 
@@ -256,7 +270,7 @@ def _reached_bins(ctx: DpContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
-            latest: np.ndarray, pairs: _Pairs, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            latest: np.ndarray, pairs: _Pairs, by_dest: _Runs) -> tuple[np.ndarray, np.ndarray]:
     """Per destination speed, the bins ``[lo, hi]`` this stage can set.
 
     ``first`` and ``last`` bound the reached bins of each source speed, and
@@ -269,8 +283,8 @@ def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
     eps = ctx.tie_eps(stage)
     early = np.where(live, pairs.arrival_bins(first[pairs.i], eps), _NO_BIN)
     late = np.where(live, pairs.arrival_bins(last[pairs.i], eps), -1)
-    lo = _reduce_runs(np.minimum, early, cut, _NO_BIN).astype(np.int64)
-    hi = _reduce_runs(np.maximum, late, cut, -1).astype(np.int64)
+    lo = by_dest.reduce(np.minimum, early, _NO_BIN).astype(np.int64)
+    hi = by_dest.reduce(np.maximum, late, -1).astype(np.int64)
     return lo, np.minimum(hi, latest)
 
 
@@ -371,7 +385,7 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
     pairs = _Pairs.of(ctx)
     latest = _latest_bins(ctx, pairs)
     plan = _grid_plan(ctx, pairs)
-    by_dest = np.searchsorted(pairs.j, np.arange(ctx.n_v + 1))
+    by_dest = _Runs.of(pairs.j, ctx.n_v)
     lo = np.full((ctx.n_nodes, ctx.n_v), _NO_BIN)
     hi = np.full(ctx.n_v, -1)
     vals = np.full(ctx.n_states, np.inf)
