@@ -266,14 +266,14 @@ def _assert_matches_reference(ctx):
     fp = forward_pass(ctx)
     reaches = _reaches_exit(ctx)
     assert len(fp.lo) == len(fp.latest) == len(ref_preds) == ctx.n_nodes
+    states = [[ctx.state(j, tb) for tb in range(ctx.n_t[j])] for j in range(ctx.n_v)]
+    for j in range(ctx.n_v):
+        assert [ctx.unflatten(s) for s in states[j]] == [(j, tb) for tb in range(ctx.n_t[j])]
     dropped = 0
     for k, ref in enumerate(ref_preds):
         for j in range(ctx.n_v):
-            states = [ctx.state(j, tb) for tb in range(ctx.n_t[j])]
-            assert [ctx.unflatten(s) for s in states] == [(j, tb) for tb in range(ctx.n_t[j])]
-            preds = [fp.pred(k, s) for s in states]
-            v = np.array([ctx.unflatten(p)[0] if p >= 0 else -1 for p in preds])
-            t = np.array([ctx.unflatten(p)[1] if p >= 0 else -1 for p in preds])
+            preds = [fp.pred(k, s) for s in states[j]]
+            v, t = np.array([ctx.unflatten(p) if p >= 0 else (-1, -1) for p in preds]).T
             wait = np.zeros(ctx.n_t[j], dtype=bool)
             if k in fp.waits and j == 0:
                 wait[:] = fp.waits[k]
@@ -289,7 +289,7 @@ def _assert_matches_reference(ctx):
             assert not (reached & ~inside & reaches[k][j]).any(), (k, j)
             dropped += int((reached & ~inside).sum())
             if k == ctx.n_nodes - 1:
-                got = fp.vals[states]
+                got = fp.vals[states[j]]
                 assert ref_vals[j][inside].tobytes() == got[inside].tobytes(), j
                 assert np.isinf(got[~inside]).all(), j
     return fp, dropped
