@@ -312,7 +312,8 @@ def _relax(ctx: DpContext, plan: _Plan, vals: np.ndarray, cost: np.ndarray,
     a = g0
     while a < g1:
         # whole groups of at most _CHUNK candidates, and at least one group
-        b = min(g1, max(a + 1, int(np.searchsorted(starts, starts[a] + _CHUNK, side="right")) - 1))
+        b = int(np.searchsorted(starts, starts[a] + _CHUNK, side="right")) - 1
+        b = min(g1, max(a + 1, b))
         # empty groups at the end of a chunk stay inf
         e = int(np.searchsorted(starts[a:b + 1], starts[b])) + a
         if e > a:
