@@ -88,10 +88,6 @@ class BatteryModel:
             raise ValueError("reference_capacity_kwh must be positive")
         object.__setattr__(self, "coeff_table", _validate_table(list(self.coeff_table)))
 
-    @property
-    def capacity_ah(self) -> float:
-        return self.capacity_kwh * 1000.0 / self.nominal_voltage_v
-
     def with_multiplier(self, k: float) -> "BatteryModel":
         return replace(self, decay_multiplier=k)
 

@@ -29,6 +29,13 @@ def _default_out() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "out"))
 
 
+def _count(text: str) -> int:
+    """A command-line count: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ecocorridor",
@@ -47,7 +54,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="run the full timing x spacing matrix")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+    sw.add_argument("--jobs", type=_count, default=1, help="parallel worker count")
     sw.add_argument("--out", help="output directory")
 
     adv = sub.add_parser("advisory", help="simulate the advised driver")
@@ -57,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     ver = sub.add_parser(
         "verify", help="check the optimizer against exhaustive enumeration"
     )
-    ver.add_argument("--cases", type=int, default=50)
+    ver.add_argument("--cases", type=_count, default=50)
     ver.add_argument("--seed", type=int, default=0)
     return p
 
@@ -105,7 +112,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    res = sweep(cfg.base, cfg.timings_s, cfg.spacings_m, jobs=max(1, args.jobs))
+    res = sweep(cfg.base, cfg.timings_s, cfg.spacings_m, jobs=args.jobs)
     out = _out_dir(args)
     paths = render_reports(res, out)
     print(f"cells: {len(res.cells)}  "

@@ -4,12 +4,14 @@ Stages are distance nodes; the state at a stage is an (arrival-time bin,
 speed bin) pair. Time resolution is refined inside a speed band near the
 speed limit, which is what lets the solver track the feasibility boundary
 when the time budget is tight. Wait arcs (time advances at zero speed)
-exist only at stop-line nodes. ``forward`` runs the value recursion over
-the grid and arc tables built here; ``optimize`` backtracks its result into
-a priced trajectory.
+exist only at stop-line nodes. A ``Lattice`` holds what depends only on
+the grid and the cost model, and a ``DpContext`` what one scenario adds.
+``forward`` runs the value recursion over them; ``optimize`` backtracks its
+result into a priced trajectory.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,9 @@ import numpy as np
 from .battery import BatteryModel
 from .corridor import Corridor
 from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
-from .forward import SolveStats, bins_within, forward_pass, time_order
+from .forward import (
+    Pairs, SolveStats, bins_within, build_plan, forward_pass, tie_eps, time_order,
+)
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
@@ -61,8 +65,89 @@ def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
     return trip_time_s * (1.0 + g.time_buffer_frac)
 
 
+class Lattice:
+    """What a solve needs that depends only on the grid and the cost model:
+    the speeds and their bin widths, the feasible speed pairs with their arc
+    durations and per-grade arc costs, the wait cost, the state numbering
+    over the longest time a solve has needed, and the two stage-parity
+    plans. ``_lattice`` keeps the lattices of the last two keys."""
+
+    def __init__(self, grid: DpGridSpec, limit: float, grades: tuple[float, ...],
+                 vehicle: VehicleParams, battery: BatteryModel, prices: Prices) -> None:
+        speeds = list(np.arange(0.0, limit, grid.speed_step_m_s))
+        if not speeds or limit - speeds[-1] > 1e-9:
+            speeds.append(limit)
+        self.speeds = np.array(speeds)
+        self.n_v = n = len(speeds)
+        band_lo = limit - grid.boundary_band_m_s - 1e-9
+        self.dt = np.where(self.speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
+
+        dx = grid.distance_step_m
+        self.cost = {grade: np.full((n, n), np.inf) for grade in grades}
+        self.dur = np.full((n, n), np.nan)
+        for i in range(n):
+            vi = float(self.speeds[i])
+            for j in range(n):
+                vj = float(self.speeds[j])
+                if vi + vj <= 0.0:
+                    continue
+                a = (vj * vj - vi * vi) / (2.0 * dx)
+                if a < grid.decel_min_m_s2 - _EPS or a > grid.accel_max_m_s2 + _EPS:
+                    continue
+                for grade, cost in self.cost.items():
+                    arc = motion_arc_cost(vi, vj, dx, grade, vehicle, battery, prices)
+                    cost[i, j] = arc.total_usd
+                self.dur[i, j] = arc.duration_s
+                # the arc must land in a bin that starts after its source bin
+                # does, however it rounds, so that states in time order only
+                # feed later states
+                if arc.duration_s - self.dt[j] + 0.5 * self.dt[i] <= 1e-6 * self.dt[j]:
+                    raise ValueError(
+                        f"distance_step_m is too short for the time bins: an arc from "
+                        f"{vi:g} to {vj:g} m/s could land in an earlier bin than it leaves")
+        j, i = np.nonzero(np.isfinite(self.dur.T))  # the feasible pairs, destination-major
+        self.pairs = Pairs(i, j, self.dt[i], self.dt[j], self.dur[i, j])
+        self.sources = np.split(i, np.cumsum(np.bincount(j, minlength=n))[:-1])
+        self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), 0.0, vehicle, battery, prices)
+        self.allowed_s = -np.inf
+        self._plans: tuple | None = None
+
+    def cover(self, allowed_s: float) -> None:
+        """Number the states whose bins start by ``allowed_s``, if the
+        numbering does not reach that far yet. Renumbering drops the plans;
+        the states of a shorter time keep their numbers (``time_order``)."""
+        if allowed_s > self.allowed_s:
+            self.allowed_s = allowed_s
+            self.n_t = bins_within(self.dt, allowed_s)
+            # speed-major index: bin tb of speed j is offsets[j] + tb
+            self.offsets = np.concatenate(([0], np.cumsum(self.n_t)))
+            self.state_speed, self.state_bin, self.state_at = time_order(self.dt, self.n_t)
+            self._plans = None
+
+    def plans(self) -> tuple:
+        """Both stage parities' plans over the numbered states, built on
+        first use. A solve reads only the groups of its budget's states, the
+        same in any plans that cover them. Building them drops the plans of
+        the lattice that held them, so one lattice holds plans at a time."""
+        if self._plans is None:
+            if _planned:
+                _planned.pop()._plans = None
+            self._plans = tuple(build_plan(self, parity) for parity in (0, 1))
+            _planned.append(self)
+        return self._plans
+
+
+# the one lattice that holds plans
+_planned: list[Lattice] = []
+# The lattice of a key. Keeping two lets a study that alternates between two
+# grids (a retry on a finer one) rebuild the plans of each at the longest
+# time it has needed, not once per longer budget.
+_lattice = functools.lru_cache(maxsize=2)(Lattice)
+
+
 class DpContext:
-    """Precomputed grid, arc tables and signal masks for one scenario."""
+    """One scenario on its lattice: nodes, stop lines, the grade of each
+    stage, and the budget's states, a prefix of the lattice's numbering."""
 
     def __init__(
         self,
@@ -74,10 +159,7 @@ class DpContext:
         budget_s: float,
     ) -> None:
         self.corridor = corridor
-        self.vehicle = vehicle
-        self.battery = battery
         self.grid = grid
-        self.prices = prices
         self.budget_s = float(budget_s)
 
         dx = grid.distance_step_m
@@ -94,73 +176,34 @@ class DpContext:
                 raise ValueError("stop lines must fall on distance nodes")
             self.stop_nodes[node] = sig_idx
 
-        limit = corridor.speed_limit_m_s
-        speeds = list(np.arange(0.0, limit, grid.speed_step_m_s))
-        if not speeds or limit - speeds[-1] > 1e-9:
-            speeds.append(limit)
-        self.speeds = np.array(speeds)
-        self.n_v = len(speeds)
+        self.grade_by_stage = np.array(
+            [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
+        )
+        grades = tuple(sorted(set(self.grade_by_stage.tolist())))
+        lat = self.lattice = _lattice(grid, corridor.speed_limit_m_s, grades, vehicle, battery,
+                                      prices)
+        self.speeds, self.dt, self.n_v, self.wait_cost = lat.speeds, lat.dt, lat.n_v, lat.wait_cost
         self.top = self.n_v - 1
 
-        band_lo = limit - grid.boundary_band_m_s - 1e-9
-        self.dt = np.where(self.speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
         # The departure gate refuses the first signal_margin_s of every green
         # window, so a driver who leaves exactly at an onset is delayed by the
         # margin; the allowance below returns that slack to the arrival check.
         self.allowed_s = self.budget_s + grid.signal_margin_s
+        lat.cover(self.allowed_s)
         self.n_t = bins_within(self.dt, self.allowed_s)
-        # speed-major index: bin tb of speed j is offsets[j] + tb
-        self.offsets = np.concatenate(([0], np.cumsum(self.n_t)))
-        self.n_states = int(self.offsets[-1])
-        self.state_speed, self.state_bin, self.state_at = time_order(self.dt, self.n_t)
+        self.n_states = int(self.n_t.sum())
+        # bin tb of speed j is state state_at[offsets[j] + tb]
+        self.offsets, self.state_at = lat.offsets, lat.state_at
+        self.state_speed = lat.state_speed[:self.n_states]
+        self.state_bin = lat.state_bin[:self.n_states]
 
-        self.grade_by_stage = np.array(
-            [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
-        )
-        self._build_tables()
-        self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), 0.0, vehicle, battery, prices)
-
-    # ------------------------------------------------------------------
-    def _build_tables(self) -> None:
-        """Arc durations and feasible (source, destination) speed pairs,
-        which every stage shares, and one arc-cost table per grade."""
-        g = self.grid
-        n = self.n_v
-        grades = sorted(set(self.grade_by_stage.tolist()))
-        costs = {grade: np.full((n, n), np.inf) for grade in grades}
-        dur = np.full((n, n), np.nan)
-        srcs_by_dest: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            vi = float(self.speeds[i])
-            for j in range(n):
-                vj = float(self.speeds[j])
-                if vi + vj <= 0.0:
-                    continue
-                a = (vj * vj - vi * vi) / (2.0 * self.dx)
-                if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
-                    continue
-                for grade, cost in costs.items():
-                    arc = motion_arc_cost(vi, vj, self.dx, grade, self.vehicle, self.battery, self.prices)
-                    cost[i, j] = arc.total_usd
-                dur[i, j] = arc.duration_s
-                srcs_by_dest[j].append(i)
-                # the arc must land in a bin that starts after its source bin
-                # does, however it rounds, so that states in time order only
-                # feed later states
-                if arc.duration_s - self.dt[j] + 0.5 * self.dt[i] <= 1e-6 * self.dt[j]:
-                    raise ValueError(
-                        f"distance_step_m is too short for the time bins: an arc from "
-                        f"{vi:g} to {vj:g} m/s could land in an earlier bin than it leaves")
-        self._tables = {grade: {"cost": costs[grade], "dur": dur} for grade in grades}
-        self._pairs = [np.array(s, dtype=int) for s in srcs_by_dest]
-
-    def tables(self, stage: int) -> dict[str, np.ndarray]:
-        """The stage's arc costs (by its grade) and the shared arc durations."""
-        return self._tables[self.grade_by_stage[stage]]
+    def arc_cost(self, stage: int) -> np.ndarray:
+        """Arc costs of the stage's grade, by (source, destination) speed."""
+        return self.lattice.cost[self.grade_by_stage[stage]]
 
     def pair_sources(self, stage: int) -> list[np.ndarray]:
         """Feasible source speeds per destination speed; the same at every stage."""
-        return self._pairs
+        return self.lattice.sources
 
     # ------------------------------------------------------------------
     def green_mask(self, node: int, speed_idx: int) -> np.ndarray | None:
@@ -185,17 +228,6 @@ class DpContext:
         u = np.mod(t - sig.time_to_red_s, sig.period_s)
         return u >= sig.red_s - 1e-12
 
-    @staticmethod
-    def tie_eps(stage: int) -> float:
-        """Nudge applied before rounding an arrival time to a bin.
-
-        An arc whose duration is an exact half-bin multiple (cruise at a
-        resonant speed) would otherwise round the same way at every stage and
-        the binned clock would drift from the physical one without bound;
-        alternating the tie direction by stage parity keeps the drift bounded.
-        """
-        return 1e-7 if stage % 2 == 0 else -1e-7
-
     def unflatten(self, state: int) -> tuple[int, int]:
         """(speed bin, time bin) of a state."""
         return int(self.state_speed[state]), int(self.state_bin[state])
@@ -205,7 +237,7 @@ class DpContext:
         return int(self.state_at[self.offsets[speed_idx] + time_bin])
 
     def arc_arrival_bin(self, t_from: float, dur: float, dest_speed: int, stage: int) -> int:
-        return int(np.rint((t_from + dur) / self.dt[dest_speed] + self.tie_eps(stage)))
+        return int(np.rint((t_from + dur) / self.dt[dest_speed] + tie_eps(stage)))
 
 
 @dataclass
@@ -246,7 +278,7 @@ def optimize(
 
     fp = forward_pass(ctx)
     vals, waits = fp.vals, fp.waits
-    exits = ctx.state_at[ctx.offsets[ctx.top]:ctx.offsets[ctx.top + 1]]
+    exits = ctx.state_at[ctx.offsets[ctx.top]:ctx.offsets[ctx.top] + ctx.n_t[ctx.top]]
     final = vals[exits]
     finite = np.isfinite(final)
     if not finite.any():

@@ -5,9 +5,9 @@ budget are a prefix of one numbering per grid. An arc's duration and
 feasibility do not depend on the grade or the budget, so its arrival state
 depends only on the grid and the stage parity: each parity has one plan per
 grid that lists every candidate arc grouped by destination state, in state
-order. The plan of the last grid solved is kept, and a stage relaxes one
-contiguous run of its groups: a gather, an add and a segment minimum,
-priced from the cost table of the stage's grade. Ties between equal-cost
+order. The plans live on the grid's lattice (``dp.Lattice``), and a stage
+relaxes one contiguous run of their groups: a gather, an add and a segment
+minimum, priced from the cost table of the stage's grade. Ties between equal-cost
 arcs go to the lowest source speed, then the latest source bin.
 
 A stage sets only the states of its window: per destination speed, the
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .dp import DpContext
+    from .dp import DpContext, Lattice
 
 # Candidate arcs per numpy call in the forward pass and in the plan build. It
 # bounds each temporary to about 128 KiB of float64 plus one group's arcs,
@@ -47,6 +47,17 @@ def bins_within(dt: np.ndarray, allowed_s: float) -> np.ndarray:
                         side="right")
         for d in dt.tolist()
     ])
+
+
+def tie_eps(stage: int) -> float:
+    """Nudge applied before rounding an arrival time to a bin.
+
+    An arc whose duration is an exact half-bin multiple (cruise at a
+    resonant speed) would otherwise round the same way at every stage and
+    the binned clock would drift from the physical one without bound;
+    alternating the tie direction by stage parity keeps the drift bounded.
+    """
+    return 1e-7 if stage % 2 == 0 else -1e-7
 
 
 def time_order(dt: np.ndarray, n_t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,41 +87,33 @@ class SolveStats:
     relaxed: int     # candidates of the stages' relaxed runs, the ones evaluated
 
 
-class _Pairs(NamedTuple):
+class Pairs(NamedTuple):
     """The feasible (source, destination) speed pairs, destination-major,
     with their bin widths and arc durations."""
 
     i: np.ndarray
     j: np.ndarray
-    n_i: np.ndarray  # time bins of the source speed
     dt_i: np.ndarray
     dt_j: np.ndarray
     dur: np.ndarray
 
-    @classmethod
-    def of(cls, ctx: DpContext) -> "_Pairs":
-        sources = ctx.pair_sources(0)
-        i = np.concatenate(sources)
-        j = np.repeat(np.arange(ctx.n_v), [len(src) for src in sources])
-        return cls(i, j, ctx.n_t[i], ctx.dt[i], ctx.dt[j], ctx.tables(0)["dur"][i, j])
-
     def arrival_bins(self, tb: np.ndarray, eps: float) -> np.ndarray:
         """Rounded arrival bin of each pair's arc leaving source bin ``tb``,
-        with the stage's ``DpContext.tie_eps``; nondecreasing in ``tb``. The
+        with the stage's ``tie_eps``; nondecreasing in ``tb``. The
         plans, the windows and the latest-bin bound all round through this
         one expression, so they agree bit for bit."""
         return np.rint((tb * self.dt_i + self.dur) / self.dt_j + eps)
 
-    def last_bins(self, bound: np.ndarray, eps: float) -> np.ndarray:
-        """Per pair, the last source bin whose arc arrives in a bin at or
-        below ``bound``, or -1."""
+    def last_bins(self, bound: np.ndarray, eps: float, n_i: np.ndarray) -> np.ndarray:
+        """Per pair, the last of the ``n_i`` bins of its source speed whose
+        arc arrives in a bin at or below ``bound``, or -1."""
         # Start from the inverted expression, then move to the last bin
         # whose rounded arrival is within the bound: the rounding decides,
         # not the estimate.
         tb = np.floor(((bound + 0.5) * self.dt_j - self.dur) / self.dt_i)
-        tb = np.minimum(np.maximum(tb, -1), self.n_i - 1).astype(np.int64)
+        tb = np.minimum(np.maximum(tb, -1), n_i - 1).astype(np.int64)
         while True:
-            up = (tb + 1 < self.n_i) & (self.arrival_bins(tb + 1, eps) <= bound)
+            up = (tb + 1 < n_i) & (self.arrival_bins(tb + 1, eps) <= bound)
             down = (tb >= 0) & (self.arrival_bins(tb, eps) > bound)
             if not (up.any() or down.any()):
                 return tb
@@ -153,66 +156,23 @@ class _Plan(NamedTuple):
     filled: np.ndarray
 
 
-@dataclass(frozen=True)
-class _GridPlan:
-    """Both stage parities' plans of one grid, over a prefix of its states."""
-
-    grid: tuple      # what the plan depends on: speeds, bin widths, dx, acceleration bounds
-    allowed_s: float  # it covers every state whose bin starts by this time
-    parity: tuple[_Plan, _Plan]
-
-
-# The plan of the last grid solved. A solve's results do not depend on it:
-# any plan of the grid that covers the budget holds the same groups for the
-# budget's states. One grid at a time bounds the memory it holds.
-_kept: list[_GridPlan] = []
-# The longest time a solve of each of the last two grids needed, so that a
-# study that alternates between two grids (a retry on a finer one) rebuilds
-# the plan of the first at its full size at once, not once per longer budget.
-_longest: dict[tuple, float] = {}
-
-
-def _grid_plan(ctx: DpContext, pairs: _Pairs) -> _GridPlan:
-    """The kept plan if it is of ``ctx``'s grid and covers its budget, else
-    a new plan over the longest time a solve of the grid has needed, which
-    replaces it."""
-    g = ctx.grid
-    grid = (ctx.speeds.tobytes(), ctx.dt.tobytes(), ctx.dx, g.accel_max_m_s2, g.decel_min_m_s2)
-    allowed = _longest[grid] = max(ctx.allowed_s, _longest.pop(grid, 0.0))
-    while len(_longest) > 2:
-        del _longest[next(iter(_longest))]
-    if _kept and _kept[0].grid == grid and _kept[0].allowed_s >= ctx.allowed_s:
-        return _kept[0]
-    _kept.clear()
-    if allowed == ctx.allowed_s:
-        n_t, at = ctx.n_t, ctx.state_at
-    else:
-        n_t = bins_within(ctx.dt, allowed)
-        _, _, at = time_order(ctx.dt, n_t)
-    pairs = pairs._replace(n_i=n_t[pairs.i])
-    plan = _GridPlan(grid, allowed,
-                     tuple(_build_plan(ctx, pairs, n_t, at, parity) for parity in (0, 1)))
-    _kept.append(plan)
-    return plan
-
-
-def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
-                stage: int) -> _Plan:
-    """The plan of a stage parity over the states with ``n_t`` bins per speed,
-    numbered ``at`` (``time_order``). It is built a run of destination
-    states at a time, each run holding at most two chunks of candidates."""
-    eps = ctx.tie_eps(stage)
-    offsets = np.concatenate(([0], np.cumsum(n_t)))
+def build_plan(lat: Lattice, stage: int) -> _Plan:
+    """The plan of a stage parity over the lattice's numbered states. It is
+    built a run of destination states at a time, each run holding at most
+    two chunks of candidates."""
+    eps = tie_eps(stage)
+    pairs, offsets, at = lat.pairs, lat.offsets, lat.state_at
+    n_i = lat.n_t[pairs.i]
     n = len(at)
 
     def landing_before(state: int) -> np.ndarray:
         """Per pair, the source bins whose arcs land on a state before ``state``."""
-        bins = [np.searchsorted(at[offsets[j]:offsets[j + 1]], state) for j in range(ctx.n_v)]
-        return pairs.last_bins(np.array(bins)[pairs.j] - 1, eps) + 1
+        bins = [np.searchsorted(at[offsets[j]:offsets[j + 1]], state) for j in range(lat.n_v)]
+        return pairs.last_bins(np.array(bins)[pairs.j] - 1, eps, n_i) + 1
 
     total = landing_before(n)
     src = np.empty(total.sum(), dtype=np.int32)
-    pair = np.empty(total.sum(), dtype=np.min_scalar_type(ctx.n_v * ctx.n_v))
+    pair = np.empty(total.sum(), dtype=np.min_scalar_type(lat.n_v * lat.n_v))
     sizes = np.zeros(n, dtype=np.int64)
     step = max(1, n * _CHUNK // max(1, int(total.sum())))
     a, low, held = 0, np.zeros_like(total), 0
@@ -223,7 +183,7 @@ def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
             b = (a + b) // 2
             high = landing_before(b)
         m = high - low
-        arcs = _Pairs(*(np.repeat(x, m) for x in pairs))  # one per candidate
+        arcs = Pairs(*(np.repeat(x, m) for x in pairs))  # one per candidate
         # each pair's source bins, latest first
         tb = np.repeat(high, m) - 1 - (np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
         dest = at[offsets[arcs.j] + arcs.arrival_bins(tb, eps).astype(np.int64)] - a
@@ -231,7 +191,7 @@ def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
         # descending) order within a destination
         order = np.argsort(dest.astype(np.min_scalar_type(b - a)), kind="stable")
         src[held:held + len(order)] = at[offsets[arcs.i] + tb][order]
-        pair[held:held + len(order)] = (arcs.i * ctx.n_v + arcs.j)[order]
+        pair[held:held + len(order)] = (arcs.i * lat.n_v + arcs.j)[order]
         sizes[a:b] = np.bincount(dest, minlength=b - a)
         held += len(order)
         a, low = b, high
@@ -239,7 +199,7 @@ def _build_plan(ctx: DpContext, pairs: _Pairs, n_t: np.ndarray, at: np.ndarray,
     return _Plan(src, pair, starts, sizes > 0)
 
 
-def _latest_bins(ctx: DpContext, pairs: _Pairs) -> np.ndarray:
+def _latest_bins(ctx: DpContext, pairs: Pairs) -> np.ndarray:
     """Per node and speed, the last time bin from which the exit can still be
     reached at the speed limit within its ``n_t[top]`` bins (the budget plus
     ``signal_margin_s``), or -1.
@@ -252,8 +212,9 @@ def _latest_bins(ctx: DpContext, pairs: _Pairs) -> np.ndarray:
     latest[-1, ctx.top] = ctx.n_t[ctx.top] - 1
     by_source = np.argsort(pairs.i, kind="stable")
     runs = _Runs.of(pairs.i[by_source], ctx.n_v)
+    n_i = ctx.n_t[pairs.i]
     for k in range(ctx.n_nodes - 2, -1, -1):
-        last = pairs.last_bins(latest[k + 1, pairs.j], ctx.tie_eps(k))
+        last = pairs.last_bins(latest[k + 1, pairs.j], tie_eps(k), n_i)
         latest[k] = runs.reduce(np.maximum, last[by_source], -1)
     return latest
 
@@ -270,7 +231,7 @@ def _reached_bins(ctx: DpContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
-            latest: np.ndarray, pairs: _Pairs, by_dest: _Runs) -> tuple[np.ndarray, np.ndarray]:
+            latest: np.ndarray, pairs: Pairs, by_dest: _Runs) -> tuple[np.ndarray, np.ndarray]:
     """Per destination speed, the bins ``[lo, hi]`` this stage can set.
 
     ``first`` and ``last`` bound the reached bins of each source speed, and
@@ -280,7 +241,7 @@ def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
     node's latest-bin bound.
     """
     live = (first <= last)[pairs.i]
-    eps = ctx.tie_eps(stage)
+    eps = tie_eps(stage)
     early = np.where(live, pairs.arrival_bins(first[pairs.i], eps), _NO_BIN)
     late = np.where(live, pairs.arrival_bins(last[pairs.i], eps), -1)
     lo = by_dest.reduce(np.minimum, early, _NO_BIN).astype(np.int64)
@@ -345,7 +306,6 @@ class ForwardPass:
     stats: SolveStats
     chunks: int                   # chunks relaxed over all stages
     ctx: DpContext
-    plan: _GridPlan               # the plan the stages relaxed
 
     def pred(self, node: int, state: int) -> int:
         """State at the previous node that gave ``state`` at ``node`` its
@@ -355,14 +315,14 @@ class ForwardPass:
         j, tb = self.ctx.unflatten(state)
         if node == 0 or not self.lo[node, j] <= tb <= self.latest[node, j]:
             return -1
-        plan = self.plan.parity[(node - 1) % 2]
+        plan = self.ctx.lattice.plans()[(node - 1) % 2]
         a, b = int(plan.starts[state]), int(plan.starts[state + 1])
         first, dep = self.departures[node - 1]
         at = plan.src[a:b] - first
         reached = (at >= 0) & (at < len(dep))  # the run holds every reached source
         cand = np.full(b - a, np.inf)
         cand[reached] = dep[at[reached]]
-        cand += self.ctx.tables(node - 1)["cost"].ravel()[plan.pair[a:b]]
+        cand += self.ctx.arc_cost(node - 1).ravel()[plan.pair[a:b]]
         best = int(np.argmin(cand)) if b > a else 0
         return int(plan.src[a + best]) if b > a and cand[best] < np.inf else -1
 
@@ -383,9 +343,9 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
     outside keeps value inf, predecessor -1 and no wait flag, even where the
     full recursion would reach it (it could not reach the exit from there).
     """
-    pairs = _Pairs.of(ctx)
+    pairs = ctx.lattice.pairs
     latest = _latest_bins(ctx, pairs)
-    plan = _grid_plan(ctx, pairs)
+    plans = ctx.lattice.plans()
     by_dest = _Runs.of(pairs.j, ctx.n_v)
     lo = np.full((ctx.n_nodes, ctx.n_v), _NO_BIN)
     hi = np.full(ctx.n_v, -1)
@@ -418,11 +378,11 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
             first, last = _reached_bins(ctx, vals)
             run = _run(vals)
         departures.append(run)
-        plan_k = plan.parity[k % 2]
+        plan_k = plans[k % 2]
         lo[k + 1], hi = _window(ctx, first, last, k, latest[k + 1], pairs, by_dest)
-        vals, run, n, c = _relax(ctx, plan_k, vals, ctx.tables(k)["cost"].ravel(), lo[k + 1], hi)
+        vals, run, n, c = _relax(ctx, plan_k, vals, ctx.arc_cost(k).ravel(), lo[k + 1], hi)
         candidates += int(plan_k.starts[ctx.n_states])
         relaxed += n
         chunks += c
     stats = SolveStats(ctx.n_states * ctx.n_nodes, candidates, relaxed)
-    return ForwardPass(vals, departures, waits, lo, latest, stats, chunks, ctx, plan)
+    return ForwardPass(vals, departures, waits, lo, latest, stats, chunks, ctx)

@@ -73,16 +73,14 @@ def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> Arc
     a = (vj * vj - vi * vi) / (2.0 * ctx.dx)
     if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
         return ArcOutcome(False, "acceleration out of bounds")
-    tab = ctx.tables(from_state.stage)
-    dur = float(tab["dur"][i, j])
-    expected = ctx.arc_arrival_bin(t_from, dur, j, from_state.stage)
+    expected = ctx.arc_arrival_bin(t_from, float(ctx.lattice.dur[i, j]), j, from_state.stage)
     if to_state.time_bin != expected:
         return ArcOutcome(False, "arrival time does not match the time bin")
     if to_state.time_bin >= ctx.n_t[j]:
         return ArcOutcome(False, "time budget exceeded")
     if not _departure_allowed(ctx, from_state.stage, t_from):
         return ArcOutcome(False, "stop-line crossing on red")
-    return ArcOutcome(True, cost_usd=float(tab["cost"][i, j]))
+    return ArcOutcome(True, cost_usd=float(ctx.arc_cost(from_state.stage)[i, j]))
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -113,12 +111,12 @@ def _enumerate_min(ctx: dp.DpContext, max_paths: int) -> tuple[float | None, lis
                 path.append((k, 0, tb + 1))
                 recurse(k, 0, tb + 1, acc + out.cost_usd, path)
                 path.pop()
-        tab = ctx.tables(k)
+        cost = ctx.arc_cost(k)
         for j2 in range(ctx.n_v):
-            if not np.isfinite(tab["cost"][j, j2]):
+            if not np.isfinite(cost[j, j2]):
                 continue
             t_from = tb * float(ctx.dt[j])
-            tb2 = ctx.arc_arrival_bin(t_from, float(tab["dur"][j, j2]), j2, k)
+            tb2 = ctx.arc_arrival_bin(t_from, float(ctx.lattice.dur[j, j2]), j2, k)
             out = transition(state, DpState(k + 1, tb2, j2), ctx)
             if not out.feasible:
                 continue

@@ -16,11 +16,6 @@ from ecocorridor.battery import (
 )
 
 
-def test_capacity_ah():
-    b = BatteryModel()
-    assert b.capacity_ah == pytest.approx(54000.0 / 350.0)
-
-
 def test_c_rate_and_current():
     b = BatteryModel()
     assert c_rate(54000.0, b) == pytest.approx(1.0)

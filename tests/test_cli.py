@@ -88,6 +88,20 @@ def test_verify_command(capsys):
     assert "matches enumeration" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cases", "0"],
+    ["verify", "--cases", "-3"],
+    ["verify", "--cases", "two"],
+    ["sweep", "--config", "unread.json", "--jobs", "0"],
+    ["sweep", "--config", "unread.json", "--jobs", "-2"],
+])
+def test_bad_counts_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"corridor": {"spacing_m": -1}}))

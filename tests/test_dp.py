@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecocorridor import dp, forward
+from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.corridor import (
@@ -12,9 +12,10 @@ from ecocorridor.corridor import (
 )
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
-from ecocorridor.forward import forward_pass
+from ecocorridor.forward import forward_pass, tie_eps
 from ecocorridor.oracle import random_tiny_instance, run_oracle_suite
 from ecocorridor.powertrain import VehicleParams
+from ecocorridor.study import VEHICLE_VARIANTS
 from ecocorridor.trajectory import check_safety
 
 
@@ -168,8 +169,7 @@ def _reference_forward_pass(ctx):
                     v0[tb] = cand
                     preds[k][0]["wait"][tb] = True
 
-        tab = ctx.tables(k)
-        cost, dur = tab["cost"], tab["dur"]
+        cost, dur = ctx.arc_cost(k), ctx.lattice.dur
         masks = [ctx.green_mask(k, i) for i in range(n_v)] if k in ctx.stop_nodes else None
         new_vals = [np.full(ctx.n_t[j], np.inf) for j in range(n_v)]
         pred_next = new_pred_store()
@@ -186,7 +186,7 @@ def _reference_forward_pass(ctx):
                 if len(src_bins) == 0:
                     continue
                 t_src = src_bins * float(ctx.dt[i])
-                dest = np.rint((t_src + dur[i, j]) / dt_j + ctx.tie_eps(k)).astype(np.int64)
+                dest = np.rint((t_src + dur[i, j]) / dt_j + tie_eps(k)).astype(np.int64)
                 ok = dest < n_j
                 if not ok.all():
                     src_bins = src_bins[ok]
@@ -208,22 +208,25 @@ def _reference_forward_pass(ctx):
     return vals, preds
 
 
-def _paper_cell(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=False):
-    """Corridor, vehicle, grid and budget of a paper-sweep cell, built as
-    `run_scenario` builds them."""
+def _paper_cell(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=False,
+                variant="standard", decay_multiplier=1.0):
+    """Corridor, vehicle, battery, grid and budget of a paper-sweep cell,
+    built as `run_scenario` builds them."""
     c = make_corridor(x, y, spacing_m=spacing, exit_buffer_m=200.0)
     if grade_profile is not None:
         c = replace(c, grade_profile=grade_profile)
-    vp = VehicleParams(regen_enabled=regen)
+    sizes = VEHICLE_VARIANTS[variant]
+    vp = VehicleParams(regen_enabled=regen, mass_kg=sizes["mass_kg"])
+    bat = BatteryModel(capacity_kwh=sizes["capacity_kwh"]).with_multiplier(decay_multiplier)
     g = DpGridSpec(time_buffer_frac=0.03, speed_step_m_s=speed_step_m_s)
     budget = time_budget(simulate_regular(c, vp).trip_time_s, g)
-    return c, vp, g, budget
+    return c, vp, bat, g, budget
 
 
 def _paper_cell_context(*args, **kwargs):
     """Solver context of a paper-sweep cell, built as `run_scenario` builds it."""
-    c, vp, g, budget = _paper_cell(*args, **kwargs)
-    return dp.DpContext(c, vp, BatteryModel(), g, Prices(), budget)
+    c, vp, bat, g, budget = _paper_cell(*args, **kwargs)
+    return dp.DpContext(c, vp, bat, g, Prices(), budget)
 
 
 def _reaches_exit(ctx, signals=True):
@@ -235,13 +238,13 @@ def _reaches_exit(ctx, signals=True):
     can = [[np.zeros(ctx.n_t[j], dtype=bool) for j in range(n_v)]]
     can[0][ctx.top][:] = True
     for k in range(ctx.n_nodes - 2, -1, -1):
-        dur = ctx.tables(k)["dur"]
+        dur = ctx.lattice.dur
         nxt, cur = can[0], [np.zeros(ctx.n_t[i], dtype=bool) for i in range(n_v)]
         for j in range(n_v):
             for i in ctx.pair_sources(k)[j]:
                 tb = np.arange(ctx.n_t[i])
                 dest = np.rint((tb * float(ctx.dt[i]) + dur[i, j]) / float(ctx.dt[j])
-                               + ctx.tie_eps(k)).astype(np.int64)
+                               + tie_eps(k)).astype(np.int64)
                 ok = dest < ctx.n_t[j]
                 hit = np.zeros(ctx.n_t[i], dtype=bool)
                 hit[ok] = nxt[j][dest[ok]]
@@ -377,23 +380,28 @@ def test_empty_stage_is_infeasible():
 def _fingerprint(cell):
     """Everything a solve returns, as bytes: value, state path, trajectory
     columns and solve statistics."""
-    c, vp, g, budget = cell
-    res = optimize(c, vp, BatteryModel(), g, Prices(), budget_s=budget)
+    c, vp, bat, g, budget = cell
+    res = optimize(c, vp, bat, g, Prices(), budget_s=budget)
     traj = res.trajectory
     columns = (traj.t, traj.x, traj.v, traj.a, traj.p_batt, traj.energy_cum, traj.soh_delta_cum)
     return (np.float64(res.value).tobytes(), res.states.shape, res.states.tobytes(),
             b"".join(col.tobytes() for col in columns), res.stats)
 
 
+def _forget_lattices():
+    """Drop every lattice, as in a new process."""
+    dp._lattice.cache_clear()
+    dp._planned.clear()
+
+
 def test_solve_does_not_depend_on_the_kept_plan():
     long, short = _paper_cell(15.0, 15.0, 800.0), _paper_cell(0.0, 0.0, 200.0)
     # the paper cell that is solved again with half the speed step
     halved = _paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25)
-    assert long[3] > short[3]
+    assert long[4] > short[4]
 
     def solve(cell, after=None):
-        forward._kept.clear()
-        forward._longest.clear()
+        _forget_lattices()
         if after is not None:
             _fingerprint(after)
         return _fingerprint(cell)
@@ -404,23 +412,65 @@ def test_solve_does_not_depend_on_the_kept_plan():
     assert solve(short, after=long) == cold_short   # prefix of a larger budget's plan
     assert solve(long, after=halved) == cold_long   # plan of another grid replaced
     assert solve(short, after=halved) == cold_short
+    # lattices of the same grid under another vehicle, battery, variant or
+    # set of grades
+    grades = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
+    for other in (_paper_cell(15.0, 15.0, 800.0, regen=True),
+                  _paper_cell(15.0, 15.0, 800.0, decay_multiplier=10.0),
+                  _paper_cell(15.0, 15.0, 800.0, variant="long_range"),
+                  _paper_cell(15.0, 15.0, 800.0, grade_profile=grades)):
+        assert solve(long, after=other) == cold_long
+
+
+def test_optimize_builds_its_context_by_name(monkeypatch):
+    # a wrapper placed on `dp.DpContext` sees every solve's context
+    built, context = [], dp.DpContext
+
+    def wrapped(*args):
+        built.append(context(*args))
+        return built[-1]
+
+    monkeypatch.setattr(dp, "DpContext", wrapped)
+    c, g, budget = random_tiny_instance(np.random.default_rng(3))
+    _forget_lattices()
+    optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
+    assert len(built) == 1
 
 
 def test_one_grid_plan_is_kept():
-    # the paper grid's largest budget, 107.5 s, keeps its plan within 4 MB
+    # the paper grid's largest budget, 107.5 s, keeps its plans within 4 MB
     largest = _paper_cell(0.0, 0.0, 800.0)
-    assert largest[3] == pytest.approx(107.46, abs=0.01)
+    assert largest[4] == pytest.approx(107.46, abs=0.01)
     _fingerprint(largest)
-    assert len(forward._kept) == 1
-    assert sum(a.nbytes for plan in forward._kept[0].parity for a in plan) <= 4e6
-    default = forward._kept[0]
+    assert len(dp._planned) == 1
+    assert sum(a.nbytes for plan in dp._planned[0].plans() for a in plan) <= 4e6
+    default = dp._planned[0]
     _fingerprint(_paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25))
-    assert len(forward._kept) == 1 and forward._kept[0] is not default
-    halved = forward._kept[0]
+    assert len(dp._planned) == 1 and dp._planned[0] is not default
+    assert default._plans is None
+    halved = dp._planned[0]
     c, g, budget = random_tiny_instance(np.random.default_rng(3))
     optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
-    assert len(forward._kept) == 1 and forward._kept[0] is not halved
-    assert forward._kept[0].allowed_s == budget + g.signal_margin_s
+    assert len(dp._planned) == 1 and dp._planned[0] is not halved
+    assert dp._planned[0].allowed_s == budget + g.signal_margin_s
+
+
+def test_second_context_prices_no_arc(monkeypatch):
+    # the oracle and `optimize` each build a context of the same scenario
+    c, vp, bat, g, budget = _paper_cell(15.0, 0.0, 400.0)
+    arc_cost, priced = dp.motion_arc_cost, []
+
+    def counted(*args):
+        priced.append(args)
+        return arc_cost(*args)
+
+    monkeypatch.setattr(dp, "motion_arc_cost", counted)
+    _forget_lattices()
+    first = dp.DpContext(c, vp, bat, g, Prices(), budget)
+    assert len(priced) == sum(len(src) for src in first.pair_sources(0))
+    priced.clear()
+    dp.DpContext(c, vp, bat, g, Prices(), budget)
+    assert priced == []
 
 
 @pytest.mark.parametrize(
@@ -436,8 +486,8 @@ def test_one_grid_plan_is_kept():
 def test_eco_columns_are_the_breakdown(x, y, spacing, regen, waits):
     # the plan's power, energy and SOH columns hold the arcs the breakdown
     # sums, so their last rows are the breakdown itself
-    c, vp, g, budget = _paper_cell(x, y, spacing, regen=regen)
-    bat, prices = BatteryModel(), Prices()
+    c, vp, bat, g, budget = _paper_cell(x, y, spacing, regen=regen)
+    prices = Prices()
     res = optimize(c, vp, bat, g, prices, budget_s=budget)
     traj = res.trajectory
     assert any(a[0] == b[0] for a, b in zip(res.states, res.states[1:])) == waits

@@ -1,0 +1,64 @@
+"""Every import in the package, the tests and the demos is used: a scan of
+each module's syntax tree for imported names that nothing reads."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted(p for d in ("src/ecocorridor", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Every name the module reads: in code, in string annotations and in
+    ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name):
+                read.add(base.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read |= _read(ast.parse(ann.value, mode="eval"))
+        if (isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {e.value for e in node.value.elts}
+    return read
+
+
+def test_no_unused_import():
+    unused = []
+    for path in SCANNED:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = _read(tree)
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in _imported(tree).items() if name not in read]
+    assert unused == []
+
+
+def test_the_scan_finds_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path as p, sep\n"
+                     "def f(x: 'sep') -> None:\n    return p\n")
+    assert set(_imported(tree)) - _read(tree) == {"math"}
