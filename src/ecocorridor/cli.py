@@ -29,11 +29,13 @@ def _default_out() -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "out"))
 
 
-def _count(text: str) -> int:
-    """A command-line count: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """The argparse type of a command-line integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -54,7 +56,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="run the full timing x spacing matrix")
     sw.add_argument("--config", required=True)
-    sw.add_argument("--jobs", type=_count, default=1, help="parallel worker count")
+    sw.add_argument("--jobs", type=_at_least(1), default=1, help="parallel worker count")
     sw.add_argument("--out", help="output directory")
 
     adv = sub.add_parser("advisory", help="simulate the advised driver")
@@ -64,8 +66,8 @@ def _parser() -> argparse.ArgumentParser:
     ver = sub.add_parser(
         "verify", help="check the optimizer against exhaustive enumeration"
     )
-    ver.add_argument("--cases", type=_count, default=50)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--cases", type=_at_least(1), default=50)
+    ver.add_argument("--seed", type=_at_least(0), default=0)
     return p
 
 

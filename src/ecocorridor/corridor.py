@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -71,46 +71,16 @@ def next_red_onset(sig: SignalSchedule, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class GradeProfile:
-    """Piecewise-constant grade versus distance from zone entry."""
-
-    breakpoints_m: tuple[float, ...] = ()
-    grades: tuple[float, ...] = (0.0,)
-
-    def __post_init__(self) -> None:
-        if len(self.grades) != len(self.breakpoints_m) + 1:
-            raise ValueError("need one more grade value than breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(self.breakpoints_m, self.breakpoints_m[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def at(self, x: float) -> float:
-        for i, b in enumerate(self.breakpoints_m):
-            if x < b:
-                return self.grades[i]
-        return self.grades[-1]
-
-
-@dataclass(frozen=True)
 class Corridor:
     """Two-signal control zone: entry buffer, light spacing, exit buffer."""
 
+    signals: tuple[SignalSchedule, SignalSchedule]
     entry_buffer_m: float = 100.0
     light_spacing_m: float = 400.0
     exit_buffer_m: float = 100.0
     speed_limit_m_s: float = 24.583
-    grade_profile: GradeProfile = field(default_factory=GradeProfile)
-    signals: tuple[SignalSchedule, SignalSchedule] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.signals is None:
-            object.__setattr__(
-                self,
-                "signals",
-                (
-                    SignalSchedule(self.entry_buffer_m, 0.0),
-                    SignalSchedule(self.entry_buffer_m + self.light_spacing_m, 0.0),
-                ),
-            )
         if len(self.signals) != 2:
             raise ValueError("corridor needs exactly two signals")
         if self.speed_limit_m_s <= 0.0:

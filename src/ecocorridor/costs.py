@@ -55,7 +55,6 @@ def interval_cost(
     v0: float,
     v1: float,
     duration_s: float,
-    grade: float,
     vp: VehicleParams,
     bat: BatteryModel,
     prices: Prices,
@@ -68,7 +67,7 @@ def interval_cost(
     """
     power = 0.0
     if v0 + v1 > 0.0:
-        power = power_demand(0.5 * (v0 + v1), (v1 - v0) / duration_s, grade, vp)
+        power = power_demand(0.5 * (v0 + v1), (v1 - v0) / duration_s, vp)
     energy_j = power * duration_s
     elec = prices.electricity_usd_per_kwh * energy_j / J_PER_KWH
     soh = soh_decay_rate(power, bat) * duration_s
@@ -80,14 +79,13 @@ def motion_arc_cost(
     v_start: float,
     v_end: float,
     length_m: float,
-    grade: float,
     vp: VehicleParams,
     bat: BatteryModel,
     prices: Prices,
 ) -> ArcCost:
     """Cost of one distance step over its constant-acceleration duration."""
     duration = 2.0 * length_m / (v_start + v_end)
-    return interval_cost(v_start, v_end, duration, grade, vp, bat, prices)
+    return interval_cost(v_start, v_end, duration, vp, bat, prices)
 
 
 def record_arcs(traj: Trajectory, arcs: list[ArcCost]) -> CostBreakdown:

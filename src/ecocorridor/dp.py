@@ -68,12 +68,12 @@ def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
 class Lattice:
     """What a solve needs that depends only on the grid and the cost model:
     the speeds and their bin widths, the feasible speed pairs with their arc
-    durations and per-grade arc costs, the wait cost, the state numbering
-    over the longest time a solve has needed, and the two stage-parity
-    plans. ``_lattice`` keeps the lattices of the last two keys."""
+    durations and arc costs, the wait cost, the state numbering over the
+    longest time a solve has needed, and the two stage-parity plans.
+    ``_lattice`` keeps the lattices of the last two keys."""
 
-    def __init__(self, grid: DpGridSpec, limit: float, grades: tuple[float, ...],
-                 vehicle: VehicleParams, battery: BatteryModel, prices: Prices) -> None:
+    def __init__(self, grid: DpGridSpec, limit: float, vehicle: VehicleParams,
+                 battery: BatteryModel, prices: Prices) -> None:
         speeds = list(np.arange(0.0, limit, grid.speed_step_m_s))
         if not speeds or limit - speeds[-1] > 1e-9:
             speeds.append(limit)
@@ -83,7 +83,7 @@ class Lattice:
         self.dt = np.where(self.speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
 
         dx = grid.distance_step_m
-        self.cost = {grade: np.full((n, n), np.inf) for grade in grades}
+        self.cost = np.full((n, n), np.inf)  # by (source, destination) speed
         self.dur = np.full((n, n), np.nan)
         for i in range(n):
             vi = float(self.speeds[i])
@@ -94,9 +94,8 @@ class Lattice:
                 a = (vj * vj - vi * vi) / (2.0 * dx)
                 if a < grid.decel_min_m_s2 - _EPS or a > grid.accel_max_m_s2 + _EPS:
                     continue
-                for grade, cost in self.cost.items():
-                    arc = motion_arc_cost(vi, vj, dx, grade, vehicle, battery, prices)
-                    cost[i, j] = arc.total_usd
+                arc = motion_arc_cost(vi, vj, dx, vehicle, battery, prices)
+                self.cost[i, j] = arc.total_usd
                 self.dur[i, j] = arc.duration_s
                 # the arc must land in a bin that starts after its source bin
                 # does, however it rounds, so that states in time order only
@@ -108,7 +107,7 @@ class Lattice:
         j, i = np.nonzero(np.isfinite(self.dur.T))  # the feasible pairs, destination-major
         self.pairs = Pairs(i, j, self.dt[i], self.dt[j], self.dur[i, j])
         self.sources = np.split(i, np.cumsum(np.bincount(j, minlength=n))[:-1])
-        self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), 0.0, vehicle, battery, prices)
+        self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), vehicle, battery, prices)
         self.allowed_s = -np.inf
         self._plans: tuple | None = None
 
@@ -146,8 +145,8 @@ _lattice = functools.lru_cache(maxsize=2)(Lattice)
 
 
 class DpContext:
-    """One scenario on its lattice: nodes, stop lines, the grade of each
-    stage, and the budget's states, a prefix of the lattice's numbering."""
+    """One scenario on its lattice: nodes, stop lines, and the budget's
+    states, a prefix of the lattice's numbering."""
 
     def __init__(
         self,
@@ -176,12 +175,7 @@ class DpContext:
                 raise ValueError("stop lines must fall on distance nodes")
             self.stop_nodes[node] = sig_idx
 
-        self.grade_by_stage = np.array(
-            [corridor.grade_profile.at((k + 0.5) * dx) for k in range(n_stages)]
-        )
-        grades = tuple(sorted(set(self.grade_by_stage.tolist())))
-        lat = self.lattice = _lattice(grid, corridor.speed_limit_m_s, grades, vehicle, battery,
-                                      prices)
+        lat = self.lattice = _lattice(grid, corridor.speed_limit_m_s, vehicle, battery, prices)
         self.speeds, self.dt, self.n_v, self.wait_cost = lat.speeds, lat.dt, lat.n_v, lat.wait_cost
         self.top = self.n_v - 1
 
@@ -197,31 +191,19 @@ class DpContext:
         self.state_speed = lat.state_speed[:self.n_states]
         self.state_bin = lat.state_bin[:self.n_states]
 
-    def arc_cost(self, stage: int) -> np.ndarray:
-        """Arc costs of the stage's grade, by (source, destination) speed."""
-        return self.lattice.cost[self.grade_by_stage[stage]]
-
     def pair_sources(self, stage: int) -> list[np.ndarray]:
         """Feasible source speeds per destination speed; the same at every stage."""
         return self.lattice.sources
 
     # ------------------------------------------------------------------
-    def green_mask(self, node: int, speed_idx: int) -> np.ndarray | None:
-        """Departure legality per time bin for arcs leaving a stop-line node."""
-        t = np.arange(self.n_t[speed_idx]) * float(self.dt[speed_idx])
-        return self._departure_allowed(node, t)
-
     def green_states(self, node: int) -> np.ndarray | None:
         """Departure legality per state for arcs leaving a stop-line node."""
-        return self._departure_allowed(node, self.state_bin * self.dt[self.state_speed])
-
-    def _departure_allowed(self, node: int, t: np.ndarray) -> np.ndarray | None:
         sig_idx = self.stop_nodes.get(node)
         if sig_idx is None:
             return None
         sig = self.corridor.signals[sig_idx]
-        margin = self.grid.signal_margin_s
-        return self._green_at(sig, t) & self._green_at(sig, t - margin)
+        t = self.state_bin * self.dt[self.state_speed]
+        return self._green_at(sig, t) & self._green_at(sig, t - self.grid.signal_margin_s)
 
     @staticmethod
     def _green_at(sig, t: np.ndarray) -> np.ndarray:
@@ -318,8 +300,7 @@ def optimize(
             arcs.append(ctx.wait_cost)
             accs.append(0.0)
         else:
-            grade = float(ctx.grade_by_stage[k0])
-            arcs.append(motion_arc_cost(v0, v1, ctx.dx, grade, v, b, prices))
+            arcs.append(motion_arc_cost(v0, v1, ctx.dx, v, b, prices))
             accs.append((v1 ** 2 - v0 ** 2) / (2.0 * ctx.dx))
         ts.append(t1 * float(ctx.dt[j1]))
         xs.append(k1 * ctx.dx)

@@ -2,13 +2,13 @@
 
 States are numbered in time order (``time_order``), so the states of a
 budget are a prefix of one numbering per grid. An arc's duration and
-feasibility do not depend on the grade or the budget, so its arrival state
-depends only on the grid and the stage parity: each parity has one plan per
-grid that lists every candidate arc grouped by destination state, in state
-order. The plans live on the grid's lattice (``dp.Lattice``), and a stage
-relaxes one contiguous run of their groups: a gather, an add and a segment
-minimum, priced from the cost table of the stage's grade. Ties between equal-cost
-arcs go to the lowest source speed, then the latest source bin.
+feasibility do not depend on the budget, so its arrival state depends only
+on the grid and the stage parity: each parity has one plan per grid that
+lists every candidate arc grouped by destination state, in state order. The
+plans and the one arc-cost table live on the grid's lattice
+(``dp.Lattice``), and a stage relaxes one contiguous run of their groups: a
+gather, an add and a segment minimum. Ties between equal-cost arcs go to the
+lowest source speed, then the latest source bin.
 
 A stage sets only the states of its window: per destination speed, the
 bins between the earliest and the latest arrival from the reached source
@@ -322,7 +322,7 @@ class ForwardPass:
         reached = (at >= 0) & (at < len(dep))  # the run holds every reached source
         cand = np.full(b - a, np.inf)
         cand[reached] = dep[at[reached]]
-        cand += self.ctx.arc_cost(node - 1).ravel()[plan.pair[a:b]]
+        cand += self.ctx.lattice.cost.ravel()[plan.pair[a:b]]
         best = int(np.argmin(cand)) if b > a else 0
         return int(plan.src[a + best]) if b > a and cand[best] < np.inf else -1
 
@@ -343,7 +343,7 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
     outside keeps value inf, predecessor -1 and no wait flag, even where the
     full recursion would reach it (it could not reach the exit from there).
     """
-    pairs = ctx.lattice.pairs
+    pairs, cost = ctx.lattice.pairs, ctx.lattice.cost.ravel()
     latest = _latest_bins(ctx, pairs)
     plans = ctx.lattice.plans()
     by_dest = _Runs.of(pairs.j, ctx.n_v)
@@ -380,7 +380,7 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
         departures.append(run)
         plan_k = plans[k % 2]
         lo[k + 1], hi = _window(ctx, first, last, k, latest[k + 1], pairs, by_dest)
-        vals, run, n, c = _relax(ctx, plan_k, vals, ctx.arc_cost(k).ravel(), lo[k + 1], hi)
+        vals, run, n, c = _relax(ctx, plan_k, vals, cost, lo[k + 1], hi)
         candidates += int(plan_k.starts[ctx.n_states])
         relaxed += n
         chunks += c

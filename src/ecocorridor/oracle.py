@@ -4,7 +4,7 @@ Generates small corridors and coarse grids where every feasible path can be
 enumerated, then checks that dynamic programming finds exactly the same
 minimum. The enumeration checks each arc with `transition`, a scalar
 restatement of the solver's arc rules. Both sides read the solver's arc-cost
-tables, so agreement is exact. The solver is reached as `dp.optimize` and
+table, so agreement is exact. The solver is reached as `dp.optimize` and
 `dp.DpContext`, so wrappers placed on the `dp` module see the oracle's
 solves too."""
 from __future__ import annotations
@@ -80,7 +80,7 @@ def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> Arc
         return ArcOutcome(False, "time budget exceeded")
     if not _departure_allowed(ctx, from_state.stage, t_from):
         return ArcOutcome(False, "stop-line crossing on red")
-    return ArcOutcome(True, cost_usd=float(ctx.arc_cost(from_state.stage)[i, j]))
+    return ArcOutcome(True, cost_usd=float(ctx.lattice.cost[i, j]))
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -111,7 +111,7 @@ def _enumerate_min(ctx: dp.DpContext, max_paths: int) -> tuple[float | None, lis
                 path.append((k, 0, tb + 1))
                 recurse(k, 0, tb + 1, acc + out.cost_usd, path)
                 path.pop()
-        cost = ctx.arc_cost(k)
+        cost = ctx.lattice.cost
         for j2 in range(ctx.n_v):
             if not np.isfinite(cost[j, j2]):
                 continue
@@ -139,7 +139,7 @@ def verify_against_enumeration(
 ) -> dict:
     """Compare DP against exhaustive path enumeration on a small grid.
 
-    Both sides read the same arc-cost tables and must agree exactly.
+    Both sides read the same arc-cost table and must agree exactly.
     """
     prices = prices or Prices()
     ctx = dp.DpContext(c, v, b, tiny_grid, prices, budget_s)

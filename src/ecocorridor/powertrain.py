@@ -1,7 +1,6 @@
 """Longitudinal EV power model: road load and battery-side power demand."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -40,20 +39,18 @@ class VehicleParams:
         return self.eff_trans * self.eff_motor * self.eff_inverter
 
 
-def wheel_power(v: float, a: float, grade: float, p: VehicleParams) -> float:
-    """Tractive power at the wheels (signed, W)."""
-    theta = math.atan(grade)
+def wheel_power(v: float, a: float, p: VehicleParams) -> float:
+    """Tractive power at the wheels on a flat road (signed, W)."""
     m, g = p.mass_kg, p.gravity_m_s2
     force = (
         m * a
-        + m * g * math.sin(theta)
-        + (p.rolling_c1 + p.rolling_c2 * v) * m * g * math.cos(theta)
+        + (p.rolling_c1 + p.rolling_c2 * v) * m * g
         + 0.5 * p.air_density_kg_m3 * p.frontal_area_m2 * p.drag_coeff * v * v
     )
     return force * v
 
 
-def power_demand(v: float, a: float, grade: float, p: VehicleParams) -> float:
+def power_demand(v: float, a: float, p: VehicleParams) -> float:
     """Battery-side power demand (W).
 
     Positive wheel power is divided by the efficiency chain; negative wheel
@@ -63,7 +60,7 @@ def power_demand(v: float, a: float, grade: float, p: VehicleParams) -> float:
     """
     if v < 0.0:
         raise ValueError("speed must be >= 0")
-    p_w = wheel_power(v, a, grade, p)
+    p_w = wheel_power(v, a, p)
     if p_w >= 0.0:
         return p_w / p.eff_chain
     if not p.regen_enabled:

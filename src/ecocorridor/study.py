@@ -8,7 +8,7 @@ import numpy as np
 from .advisory import AdvisoryConfig, DriverFollowingModel, simulate_advised_driver
 from .baseline import RegularDriverRules, simulate_regular
 from .battery import BatteryModel
-from .corridor import Corridor, GradeProfile, make_corridor
+from .corridor import Corridor, make_corridor
 from .costs import CostBreakdown, Prices, interval_cost, record_arcs
 from .dp import DpGridSpec, DpResult, InfeasibleScenarioError, optimize, time_budget
 from .powertrain import VehicleParams
@@ -66,20 +66,16 @@ def evaluate_trajectory(
     v: VehicleParams,
     b: BatteryModel,
     prices: Prices | None = None,
-    grade_profile: GradeProfile | None = None,
 ) -> CostBreakdown:
-    """Price a driven trajectory step by step with `costs.interval_cost`,
-    each step at the grade of its midpoint position (flat by default).
+    """Price a driven trajectory step by step with `costs.interval_cost`.
 
     Fills the trajectory's power/energy/SOH columns in place; idempotent.
     """
     prices = prices or Prices()
-    grade_profile = grade_profile or GradeProfile()
     traj.validate()
-    t, x, speed = traj.t.tolist(), traj.x.tolist(), traj.v.tolist()
+    t, speed = traj.t.tolist(), traj.v.tolist()
     arcs = [
-        interval_cost(speed[k], speed[k + 1], t[k + 1] - t[k],
-                      grade_profile.at(0.5 * (x[k] + x[k + 1])), v, b, prices)
+        interval_cost(speed[k], speed[k + 1], t[k + 1] - t[k], v, b, prices)
         for k in range(len(traj) - 1)
     ]
     return record_arcs(traj, arcs)
@@ -143,7 +139,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     if res is None:
         fine = replace(spec.grid, speed_step_m_s=spec.grid.speed_step_m_s / 2.0)
         res = optimize(c, vp, bat, fine, spec.prices, budget_s=budget)
-    regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile)
+    regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices)
     # the optimizer prices its plan arc by arc and fills the eco columns
     return ScenarioResult(spec, regular, regular_cost, res)
 
@@ -296,7 +292,7 @@ def run_advisory_scenario(
     return {
         "regular": regular,
         "advised": advised,
-        "regular_cost": evaluate_trajectory(regular, vp, bat, spec.prices, c.grade_profile),
-        "advised_cost": evaluate_trajectory(advised, vp, bat, spec.prices, c.grade_profile),
+        "regular_cost": evaluate_trajectory(regular, vp, bat, spec.prices),
+        "advised_cost": evaluate_trajectory(advised, vp, bat, spec.prices),
         "log": log,
     }

@@ -3,6 +3,7 @@
 Each test prints a single ``[criterion N] ... PASS/FAIL`` line.  The heavy
 parametric sweeps are computed once per session and shared across tests.
 """
+import hashlib
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,12 @@ from ecocorridor.study import (
 from ecocorridor.trajectory import check_safety, from_samples
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# sha256 of the paper sweep's table2.csv, as `ecocorridor sweep --config
+# configs/paper_sweep.json` writes it. A refactor must leave it as it is. A
+# change that moves the paper's numbers on purpose, as ROADMAP item 1 (eco
+# plans on a physical clock) will, updates it and says so.
+PAPER_TABLE2_SHA256 = "53b089666aafd47138046064b1eb8def7d6707d7a688ed302266bdf6ccb30993"
 
 
 def _report(num: int, name: str, failures: list[str], detail: str = "") -> None:
@@ -205,7 +212,7 @@ def test_criterion_7_physics_identities(paper_cfg):
     t = np.arange(0.0, horizon + 0.5, 0.5)
     traj = from_samples(t, v * t, np.full_like(t, v))
     cost = evaluate_trajectory(traj, vp, bat)
-    closed = power_demand(v, 0.0, 0.0, vp) * horizon / J_PER_KWH
+    closed = power_demand(v, 0.0, vp) * horizon / J_PER_KWH
     if abs(cost.energy_kwh - closed) > 1e-9 * closed:
         failures.append(f"cruise energy {cost.energy_kwh} vs closed form {closed}")
 
@@ -309,3 +316,8 @@ def test_criterion_10_determinism(paper_cfg, tmp_path):
         elif data != ref:
             failures.append(f"{run} CSV differs from first run")
     _report(10, "byte-identical outputs across runs and workers", failures)
+
+
+def test_paper_sweep_table_is_pinned(main_sweep, tmp_path):
+    data = write_sweep_csv(main_sweep, tmp_path / "table2.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PAPER_TABLE2_SHA256

@@ -102,6 +102,15 @@ def test_bad_counts_exit_2(argv, capsys):
     assert "must be an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", "one", "1.5"])
+def test_bad_seed_exits_2(seed, capsys):
+    # numpy refuses a negative seed; that is a usage error, not a mismatch
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cases", "1", "--seed", seed])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"corridor": {"spacing_m": -1}}))

@@ -3,7 +3,6 @@ import pytest
 
 from ecocorridor.corridor import (
     Corridor,
-    GradeProfile,
     Phase,
     SignalSchedule,
     crossing_allowed,
@@ -60,8 +59,9 @@ def test_crossing_allowed():
 
 
 def test_invalid_geometry_rejected():
-    with pytest.raises(ValueError):
-        Corridor(speed_limit_m_s=0.0)
+    with pytest.raises(ValueError, match="speed limit"):
+        Corridor(signals=(SignalSchedule(100.0, 0.0), SignalSchedule(500.0, 0.0)),
+                 speed_limit_m_s=0.0)
     with pytest.raises(ValueError):
         SignalSchedule(stop_line_m=100.0, time_to_red_s=0.0, red_s=0.0)
     with pytest.raises(ValueError):
@@ -70,13 +70,3 @@ def test_invalid_geometry_rejected():
             SignalSchedule(50.0, 0.0),
             SignalSchedule(500.0, 0.0),
         ))
-
-
-def test_grade_profile_lookup():
-    g = GradeProfile(breakpoints_m=(100.0, 300.0), grades=(0.0, 0.02, -0.01))
-    assert g.at(50.0) == 0.0
-    assert g.at(100.0) == 0.02
-    assert g.at(299.0) == 0.02
-    assert g.at(300.0) == -0.01
-    with pytest.raises(ValueError):
-        GradeProfile(breakpoints_m=(100.0,), grades=(0.0,))

@@ -31,15 +31,15 @@ def test_only_costs_calls_the_power_and_decay_models():
 
 
 def test_interval_cost_at_standstill_is_free():
-    arc = interval_cost(0.0, 0.0, 2.5, 0.03, VehicleParams(), BatteryModel(), Prices())
+    arc = interval_cost(0.0, 0.0, 2.5, VehicleParams(), BatteryModel(), Prices())
     assert (arc.duration_s, arc.power_w, arc.energy_j, arc.total_usd, arc.soh_delta) == (
         2.5, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_motion_arc_is_an_interval_over_its_constant_acceleration_duration():
     vp, bat, prices = VehicleParams(), BatteryModel(), Prices()
-    arc = motion_arc_cost(10.0, 14.0, 48.0, 0.02, vp, bat, prices)
+    arc = motion_arc_cost(10.0, 14.0, 48.0, vp, bat, prices)
     assert arc.duration_s == pytest.approx(4.0)
-    assert arc == interval_cost(10.0, 14.0, arc.duration_s, 0.02, vp, bat, prices)
+    assert arc == interval_cost(10.0, 14.0, arc.duration_s, vp, bat, prices)
     # a = (v1 - v0) / duration = 1 m/s^2 at the 12 m/s midpoint speed
-    assert arc.power_w == pytest.approx(power_demand(12.0, 1.0, 0.02, vp), rel=1e-12)
+    assert arc.power_w == pytest.approx(power_demand(12.0, 1.0, vp), rel=1e-12)

@@ -1,15 +1,11 @@
 """Optimizer tests: feasibility, determinism and enumeration agreement."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
-from ecocorridor.corridor import (
-    Corridor, GradeProfile, Phase, SignalSchedule, make_corridor, phase_at,
-)
+from ecocorridor.corridor import Corridor, Phase, SignalSchedule, make_corridor, phase_at
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.forward import forward_pass, tie_eps
@@ -135,6 +131,13 @@ def test_matches_enumeration_on_tiny_instances():
     assert report.paths_total > 0
 
 
+def _green_bins(ctx, node):
+    """Per speed, departure legality by time bin at a stop-line node: the
+    per-state mask read through the state numbering."""
+    green = ctx.green_states(node)
+    return [green[ctx.state_at[ctx.offsets[i] + np.arange(ctx.n_t[i])]] for i in range(ctx.n_v)]
+
+
 def _reference_forward_pass(ctx):
     """The per-pair loop forward pass, kept as the reference.
 
@@ -169,8 +172,8 @@ def _reference_forward_pass(ctx):
                     v0[tb] = cand
                     preds[k][0]["wait"][tb] = True
 
-        cost, dur = ctx.arc_cost(k), ctx.lattice.dur
-        masks = [ctx.green_mask(k, i) for i in range(n_v)] if k in ctx.stop_nodes else None
+        cost, dur = ctx.lattice.cost, ctx.lattice.dur
+        masks = _green_bins(ctx, k) if k in ctx.stop_nodes else None
         new_vals = [np.full(ctx.n_t[j], np.inf) for j in range(n_v)]
         pred_next = new_pred_store()
         for j in range(n_v):
@@ -208,13 +211,11 @@ def _reference_forward_pass(ctx):
     return vals, preds
 
 
-def _paper_cell(x, y, spacing, speed_step_m_s=0.5, grade_profile=None, regen=False,
-                variant="standard", decay_multiplier=1.0):
+def _paper_cell(x, y, spacing, speed_step_m_s=0.5, regen=False, variant="standard",
+                decay_multiplier=1.0):
     """Corridor, vehicle, battery, grid and budget of a paper-sweep cell,
     built as `run_scenario` builds them."""
     c = make_corridor(x, y, spacing_m=spacing, exit_buffer_m=200.0)
-    if grade_profile is not None:
-        c = replace(c, grade_profile=grade_profile)
     sizes = VEHICLE_VARIANTS[variant]
     vp = VehicleParams(regen_enabled=regen, mass_kg=sizes["mass_kg"])
     bat = BatteryModel(capacity_kwh=sizes["capacity_kwh"]).with_multiplier(decay_multiplier)
@@ -239,6 +240,7 @@ def _reaches_exit(ctx, signals=True):
     can[0][ctx.top][:] = True
     for k in range(ctx.n_nodes - 2, -1, -1):
         dur = ctx.lattice.dur
+        green = _green_bins(ctx, k) if signals and k in ctx.stop_nodes else None
         nxt, cur = can[0], [np.zeros(ctx.n_t[i], dtype=bool) for i in range(n_v)]
         for j in range(n_v):
             for i in ctx.pair_sources(k)[j]:
@@ -248,10 +250,10 @@ def _reaches_exit(ctx, signals=True):
                 ok = dest < ctx.n_t[j]
                 hit = np.zeros(ctx.n_t[i], dtype=bool)
                 hit[ok] = nxt[j][dest[ok]]
-                if signals and k in ctx.stop_nodes:
-                    hit &= ctx.green_mask(k, i)
+                if green is not None:
+                    hit &= green[i]
                 cur[i] |= hit
-        if signals and k in ctx.stop_nodes:
+        if green is not None:
             # a wait arc moves a zero-speed state one bin later at this node
             for tb in range(ctx.n_t[0] - 2, -1, -1):
                 cur[0][tb] |= cur[0][tb + 1]
@@ -314,14 +316,6 @@ def test_forward_pass_matches_reference_on_halved_speed_step():
     ctx = _paper_cell_context(0.0, -15.0, 200.0, speed_step_m_s=0.25)
     fp, _ = _assert_matches_reference(ctx)
     assert fp.chunks > ctx.n_nodes - 1
-
-
-def test_forward_pass_matches_reference_on_two_grades():
-    # both grades share the plans; only the cost table follows the grade
-    grades = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
-    ctx = _paper_cell_context(15.0, 0.0, 200.0, grade_profile=grades)
-    assert len(set(ctx.grade_by_stage.tolist())) == 2
-    _assert_matches_reference(ctx)
 
 
 def _assert_latest_bins_exact(ctx):
@@ -412,13 +406,10 @@ def test_solve_does_not_depend_on_the_kept_plan():
     assert solve(short, after=long) == cold_short   # prefix of a larger budget's plan
     assert solve(long, after=halved) == cold_long   # plan of another grid replaced
     assert solve(short, after=halved) == cold_short
-    # lattices of the same grid under another vehicle, battery, variant or
-    # set of grades
-    grades = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
+    # lattices of the same grid under another vehicle, battery or variant
     for other in (_paper_cell(15.0, 15.0, 800.0, regen=True),
                   _paper_cell(15.0, 15.0, 800.0, decay_multiplier=10.0),
-                  _paper_cell(15.0, 15.0, 800.0, variant="long_range"),
-                  _paper_cell(15.0, 15.0, 800.0, grade_profile=grades)):
+                  _paper_cell(15.0, 15.0, 800.0, variant="long_range")):
         assert solve(long, after=other) == cold_long
 
 
@@ -498,10 +489,9 @@ def test_eco_columns_are_the_breakdown(x, y, spacing, regen, waits):
         x0, x1 = float(traj.x[k]), float(traj.x[k + 1])
         v0, v1 = float(traj.v[k]), float(traj.v[k + 1])
         if x1 > x0:
-            arc = motion_arc_cost(v0, v1, x1 - x0, c.grade_profile.at(0.5 * (x0 + x1)),
-                                  vp, bat, prices)
+            arc = motion_arc_cost(v0, v1, x1 - x0, vp, bat, prices)
         else:
-            arc = interval_cost(0.0, 0.0, g.time_step_s, 0.0, vp, bat, prices)
+            arc = interval_cost(0.0, 0.0, g.time_step_s, vp, bat, prices)
         assert traj.p_batt[k] == arc.power_w
         elec += arc.electricity_usd
     assert elec == res.breakdown.electricity_usd

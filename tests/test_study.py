@@ -11,7 +11,6 @@ from ecocorridor.report import (
 )
 from ecocorridor import study
 from ecocorridor.baseline import simulate_regular
-from ecocorridor.corridor import GradeProfile
 from ecocorridor.costs import interval_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError
 from ecocorridor.powertrain import VehicleParams
@@ -22,9 +21,6 @@ from ecocorridor.study import (
     run_scenario,
     sweep,
 )
-
-# +2% before 300 m, -1% after
-SLOPES = GradeProfile(breakpoints_m=(300.0,), grades=(0.02, -0.01))
 
 
 @pytest.fixture(scope="module")
@@ -129,18 +125,15 @@ def test_battery_size_study_small(base_spec, tmp_path):
     assert len(lines) == 2
 
 
-def test_evaluate_trajectory_prices_each_step_at_its_grade(base_spec):
+def test_evaluate_trajectory_prices_each_step(base_spec):
     spec = replace(base_spec, time_to_red_second_s=0.0, spacing_m=200.0)
-    c = replace(spec.corridor(), grade_profile=SLOPES)
     vp, bat = spec.resolved_vehicle(), spec.resolved_battery()
-    traj = simulate_regular(c, vp, spec.rules)
-    cost = evaluate_trajectory(traj, vp, bat, spec.prices, c.grade_profile)
+    traj = simulate_regular(spec.corridor(), vp, spec.rules)
+    cost = evaluate_trajectory(traj, vp, bat, spec.prices)
     elec = decay = energy = soh = 0.0
     for k in range(len(traj) - 1):
-        x_mid = 0.5 * float(traj.x[k] + traj.x[k + 1])
         arc = interval_cost(float(traj.v[k]), float(traj.v[k + 1]),
-                            float(traj.t[k + 1] - traj.t[k]), SLOPES.at(x_mid),
-                            vp, bat, spec.prices)
+                            float(traj.t[k + 1] - traj.t[k]), vp, bat, spec.prices)
         assert traj.p_batt[k] == arc.power_w
         elec += arc.electricity_usd
         decay += arc.decay_usd
@@ -148,22 +141,15 @@ def test_evaluate_trajectory_prices_each_step_at_its_grade(base_spec):
         soh += arc.soh_delta
     assert (cost.electricity_usd, cost.battery_usd, cost.soh_delta) == (elec, decay, soh)
     assert traj.energy_cum[-1] == energy
-    flat = evaluate_trajectory(traj, vp, bat, spec.prices)
-    assert flat.total_usd != pytest.approx(cost.total_usd, rel=1e-3)
+    # pricing again rewrites the same columns and the same sums
+    assert evaluate_trajectory(traj, vp, bat, spec.prices) == cost
 
 
-def test_run_scenario_prices_the_regular_trip_on_the_corridor_grade(base_spec, monkeypatch):
+def test_run_scenario_prices_the_regular_trip_with_evaluate_trajectory(base_spec):
     spec = replace(base_spec, time_to_red_second_s=0.0, spacing_m=200.0)
-    flat_corridor = ScenarioSpec.corridor
-    monkeypatch.setattr(
-        ScenarioSpec, "corridor", lambda self: replace(flat_corridor(self), grade_profile=SLOPES)
-    )
     res = run_scenario(spec)
     vp, bat = spec.resolved_vehicle(), spec.resolved_battery()
-    graded = evaluate_trajectory(res.regular, vp, bat, spec.prices, SLOPES)
-    flat = evaluate_trajectory(res.regular, vp, bat, spec.prices)
-    assert res.regular_cost == graded
-    assert res.regular_cost.total_usd != pytest.approx(flat.total_usd, rel=1e-3)
+    assert res.regular_cost == evaluate_trajectory(res.regular, vp, bat, spec.prices)
 
 
 def test_sweep_records_infeasible_cells_and_raises_on_crashes(base_spec, monkeypatch):
