@@ -103,19 +103,19 @@ def recommend(
     """
     limit = c.speed_limit_m_s
     cfg.check_limit(limit)
-    unpassed = [s for s in c.signals if x < s.stop_line_m - 1e-9]
+    unpassed = [(s, line) for s, line in zip(c.signals, c.stop_lines_m) if x < line - 1e-9]
     if not unpassed:
         target = limit
     else:
-        first = unpassed[0]
-        d1 = first.stop_line_m - x
+        first, line1 = unpassed[0]
+        d1 = line1 - x
         target1, floor1 = _light_target(first, d1, v, t, limit, cfg)
         target = target1
         if len(unpassed) > 1 and cfg.lookahead_lights >= 2:
-            second = unpassed[1]
+            second, line2 = unpassed[1]
             v_plan = min(max(target1, cfg.min_cruise_m_s), limit)
             t1 = t + d1 / v_plan
-            d2 = second.stop_line_m - first.stop_line_m
+            d2 = line2 - line1
             target2, _ = _light_target(second, d2, v_plan, t1, limit, cfg)
             # slowing for the second light must not forfeit the first window
             target = max(min(target1, target2), floor1)

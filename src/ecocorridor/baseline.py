@@ -29,8 +29,8 @@ class RegularDriverRules:
 
 def _visible_red_light(c: Corridor, x: float, t: float, sight_m: float):
     """Nearest downstream stop line that is currently Red and within sight."""
-    for idx, sig in enumerate(c.signals):
-        d = sig.stop_line_m - x
+    for idx, (sig, line) in enumerate(zip(c.signals, c.stop_lines_m)):
+        d = line - x
         if d < -1e-9:
             continue
         if d <= sight_m and phase_at(sig, t) is Phase.RED:
@@ -49,8 +49,7 @@ def _red_line_crossed(c: Corridor, t: float, x: float, x_new: float, v_new: floa
     """
     if v_new <= 0.0:
         return None
-    for sig in c.signals:
-        line = sig.stop_line_m
+    for sig, line in zip(c.signals, c.stop_lines_m):
         if x > line + 1e-9:
             continue
         if x_new < line - 1e-9:

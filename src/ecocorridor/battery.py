@@ -142,6 +142,6 @@ def soh_decay_rate(p_batt_w: float, b: BatteryModel) -> float:
     return -b.decay_multiplier * i_abs / (2.0 * a_total) / 3600.0
 
 
-def decay_cost_rate(p_batt_w: float, b: BatteryModel) -> float:
-    """Battery replacement cost rate (USD/s); degradation always adds cost."""
-    return b.pack_price_per_kwh * b.capacity_kwh * abs(soh_decay_rate(p_batt_w, b))
+def decay_cost_rate(soh_rate: float, b: BatteryModel) -> float:
+    """Battery replacement cost rate (USD/s) of a `soh_decay_rate`; wear always adds cost."""
+    return b.pack_price_per_kwh * b.capacity_kwh * abs(soh_rate)

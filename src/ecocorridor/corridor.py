@@ -5,6 +5,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+# an offset this close to a full period is the next red onset
+_SNAP_S = 1e-9
+
 
 class Phase(Enum):
     GREEN = "green"
@@ -16,13 +21,13 @@ class SignalSchedule:
     """Periodic red/green schedule anchored to the vehicle's entry at t=0.
 
     `time_to_red_s` is the (signed) onset of the first red relative to entry;
-    the schedule extends to negative times by periodicity.
+    the schedule extends to negative times by periodicity. Where the light
+    stands is the corridor's geometry (`Corridor.stop_lines_m`).
     """
 
-    stop_line_m: float
     time_to_red_s: float
-    red_s: float = 30.0
-    green_s: float = 30.0
+    red_s: float
+    green_s: float
 
     def __post_init__(self) -> None:
         if self.red_s <= 0.0 or self.green_s <= 0.0:
@@ -43,7 +48,7 @@ def _cycle_offset(sig: SignalSchedule, t: float) -> float:
     u = math.fmod(t - sig.time_to_red_s, sig.period_s)
     if u < 0.0:
         u += sig.period_s
-    if u >= sig.period_s - 1e-9:
+    if u >= sig.period_s - _SNAP_S:
         u = 0.0
     return u
 
@@ -52,6 +57,14 @@ def phase_at(sig: SignalSchedule, t: float) -> Phase:
     """Phase at time t. Red on [time_to_red + k*period, +red_s); the instant a
     light turns green is Green."""
     return Phase.RED if _cycle_offset(sig, t) < sig.red_s else Phase.GREEN
+
+
+def green_at(sig: SignalSchedule, t: np.ndarray) -> np.ndarray:
+    """`phase_at(sig, t) is Phase.GREEN` for an array of times, with the same
+    snap. numpy's float mod is C's fmod plus the period where that is
+    negative, so each offset is the scalar rule's to the bit."""
+    u = np.mod(t - sig.time_to_red_s, sig.period_s)
+    return (u >= sig.red_s) & (u < sig.period_s - _SNAP_S)
 
 
 def next_green_onset(sig: SignalSchedule, t: float) -> float:
@@ -72,13 +85,13 @@ def next_red_onset(sig: SignalSchedule, t: float) -> float:
 
 @dataclass(frozen=True)
 class Corridor:
-    """Two-signal control zone: entry buffer, light spacing, exit buffer."""
+    """Two-signal control zone: entry buffer, light spacing between the stop lines, exit buffer."""
 
     signals: tuple[SignalSchedule, SignalSchedule]
-    entry_buffer_m: float = 100.0
-    light_spacing_m: float = 400.0
-    exit_buffer_m: float = 100.0
-    speed_limit_m_s: float = 24.583
+    entry_buffer_m: float
+    light_spacing_m: float
+    exit_buffer_m: float
+    speed_limit_m_s: float
 
     def __post_init__(self) -> None:
         if len(self.signals) != 2:
@@ -87,14 +100,6 @@ class Corridor:
             raise ValueError("speed limit must be > 0")
         if min(self.entry_buffer_m, self.light_spacing_m, self.exit_buffer_m) <= 0.0:
             raise ValueError("corridor segment lengths must be > 0")
-        expected = (self.entry_buffer_m, self.entry_buffer_m + self.light_spacing_m)
-        for sig, x in zip(self.signals, expected):
-            if not math.isclose(sig.stop_line_m, x, abs_tol=1e-9):
-                raise ValueError(
-                    f"stop line at {sig.stop_line_m} m does not match geometry ({x} m)"
-                )
-        if not all(0.0 < s.stop_line_m < self.length_m for s in self.signals):
-            raise ValueError("stop lines must lie strictly inside the zone")
 
     @property
     def length_m(self) -> float:
@@ -102,7 +107,7 @@ class Corridor:
 
     @property
     def stop_lines_m(self) -> tuple[float, float]:
-        return tuple(s.stop_line_m for s in self.signals)
+        return self.entry_buffer_m, self.entry_buffer_m + self.light_spacing_m
 
 
 def make_corridor(
@@ -122,8 +127,8 @@ def make_corridor(
         exit_buffer_m=exit_buffer_m,
         speed_limit_m_s=speed_limit_m_s,
         signals=(
-            SignalSchedule(entry_buffer_m, time_to_red_first_s, red_s, green_s),
-            SignalSchedule(entry_buffer_m + spacing_m, time_to_red_second_s, red_s, green_s),
+            SignalSchedule(time_to_red_first_s, red_s, green_s),
+            SignalSchedule(time_to_red_second_s, red_s, green_s),
         ),
     )
 

@@ -70,9 +70,9 @@ def interval_cost(
         power = power_demand(0.5 * (v0 + v1), (v1 - v0) / duration_s, vp)
     energy_j = power * duration_s
     elec = prices.electricity_usd_per_kwh * energy_j / J_PER_KWH
-    soh = soh_decay_rate(power, bat) * duration_s
-    decay = decay_cost_rate(power, bat) * duration_s
-    return ArcCost(duration_s, power, energy_j, elec, decay, soh)
+    rate = soh_decay_rate(power, bat)
+    decay = decay_cost_rate(rate, bat) * duration_s
+    return ArcCost(duration_s, power, energy_j, elec, decay, rate * duration_s)
 
 
 def motion_arc_cost(

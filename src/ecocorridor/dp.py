@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import BatteryModel
-from .corridor import Corridor
-from .costs import CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
+from .corridor import Corridor, green_at
+from .costs import ArcCost, CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
 from .forward import (
     Pairs, SolveStats, bins_within, build_plan, forward_pass, tie_eps, time_order,
 )
@@ -67,9 +67,10 @@ def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
 
 class Lattice:
     """What a solve needs that depends only on the grid and the cost model:
-    the speeds and their bin widths, the feasible speed pairs with their arc
-    durations and arc costs, the wait cost, the state numbering over the
-    longest time a solve has needed, and the two stage-parity plans.
+    the speeds and their bin widths, the feasible speed pairs' priced arcs
+    (``arcs``, by source and destination speed) with their durations and
+    costs as tables, the wait cost, the state numbering over the longest
+    time a solve has needed, and the two stage-parity plans.
     ``_lattice`` keeps the lattices of the last two keys."""
 
     def __init__(self, grid: DpGridSpec, limit: float, vehicle: VehicleParams,
@@ -85,6 +86,7 @@ class Lattice:
         dx = grid.distance_step_m
         self.cost = np.full((n, n), np.inf)  # by (source, destination) speed
         self.dur = np.full((n, n), np.nan)
+        self.arcs: dict[tuple[int, int], ArcCost] = {}
         for i in range(n):
             vi = float(self.speeds[i])
             for j in range(n):
@@ -94,7 +96,7 @@ class Lattice:
                 a = (vj * vj - vi * vi) / (2.0 * dx)
                 if a < grid.decel_min_m_s2 - _EPS or a > grid.accel_max_m_s2 + _EPS:
                     continue
-                arc = motion_arc_cost(vi, vj, dx, vehicle, battery, prices)
+                arc = self.arcs[i, j] = motion_arc_cost(vi, vj, dx, vehicle, battery, prices)
                 self.cost[i, j] = arc.total_usd
                 self.dur[i, j] = arc.duration_s
                 # the arc must land in a bin that starts after its source bin
@@ -203,12 +205,7 @@ class DpContext:
             return None
         sig = self.corridor.signals[sig_idx]
         t = self.state_bin * self.dt[self.state_speed]
-        return self._green_at(sig, t) & self._green_at(sig, t - self.grid.signal_margin_s)
-
-    @staticmethod
-    def _green_at(sig, t: np.ndarray) -> np.ndarray:
-        u = np.mod(t - sig.time_to_red_s, sig.period_s)
-        return u >= sig.red_s - 1e-12
+        return green_at(sig, t) & green_at(sig, t - self.grid.signal_margin_s)
 
     def unflatten(self, state: int) -> tuple[int, int]:
         """(speed bin, time bin) of a state."""
@@ -292,7 +289,7 @@ def optimize(
     # stamped with its time bin, so the emitted trajectory satisfies the
     # same signal and budget checks the search performed.  Each interval
     # sits within half a bin of the constant-acceleration duration, over
-    # which its arc is priced, as in the search.
+    # which the lattice priced its arc for the search.
     ts, xs, vs, accs, arcs = [0.0], [0.0], [float(ctx.speeds[ctx.top])], [], []
     for (k0, j0, t0), (k1, j1, t1) in zip(path, path[1:]):
         v0, v1 = float(ctx.speeds[j0]), float(ctx.speeds[j1])
@@ -300,7 +297,7 @@ def optimize(
             arcs.append(ctx.wait_cost)
             accs.append(0.0)
         else:
-            arcs.append(motion_arc_cost(v0, v1, ctx.dx, v, b, prices))
+            arcs.append(ctx.lattice.arcs[j0, j1])
             accs.append((v1 ** 2 - v0 ** 2) / (2.0 * ctx.dx))
         ts.append(t1 * float(ctx.dt[j1]))
         xs.append(k1 * ctx.dx)

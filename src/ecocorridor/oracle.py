@@ -187,8 +187,8 @@ def random_tiny_instance(rng: np.random.Generator):
     speed_step = limit / int(rng.integers(3, 6))  # 4..6 speed bins incl. zero
     red = float(rng.choice([4.0, 6.0, 8.0]))
     signals = (
-        SignalSchedule(first * step_m, float(rng.uniform(-red, red)), red, red),
-        SignalSchedule(second * step_m, float(rng.uniform(-red, red)), red, red),
+        SignalSchedule(float(rng.uniform(-red, red)), red, red),
+        SignalSchedule(float(rng.uniform(-red, red)), red, red),
     )
     c = Corridor(
         entry_buffer_m=first * step_m,

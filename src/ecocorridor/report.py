@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .corridor import Corridor
+from .corridor import Corridor, next_green_onset, next_red_onset
 from .study import DecayComparisonResult, ScenarioResult, SweepResult
 
 SWEEP_HEADER = [
@@ -179,21 +179,17 @@ def _red_bars(c: Corridor, t_hi: float, frame) -> str:
     """Horizontal red-interval bars at each stop line for a distance-time panel."""
     left, right, top, bottom, x_lo, x_hi, y_lo, y_hi = frame
     parts = []
-    for sig in c.signals:
-        y = _scale([sig.stop_line_m], y_lo, y_hi, bottom, top)[0]
-        onset = sig.time_to_red_s
-        while onset > 0:
-            onset -= sig.period_s
-        while onset < t_hi:
-            r0, r1 = max(onset, 0.0), min(onset + sig.red_s, t_hi)
-            if r1 > r0:
-                x0 = _scale([r0], x_lo, x_hi, left, right)[0]
-                x1 = _scale([r1], x_lo, x_hi, left, right)[0]
-                parts.append(
-                    f'<rect x="{x0:.2f}" y="{y - 2.5:.2f}" '
-                    f'width="{x1 - x0:.2f}" height="5" fill="#d33" opacity="0.8"/>'
-                )
-            onset += sig.period_s
+    for sig, line in zip(c.signals, c.stop_lines_m):
+        y = _scale([line], y_lo, y_hi, bottom, top)[0]
+        t = 0.0
+        while (r0 := next_red_onset(sig, t)) < t_hi:
+            t = next_green_onset(sig, r0)
+            x0, x1 = _scale([r0, min(t, t_hi)], x_lo, x_hi, left, right)
+            parts.append(
+                f'<rect x="{x0:.2f}" y="{y - 2.5:.2f}" '
+                f'width="{x1 - x0:.2f}" height="5" fill="#d33" opacity="0.8"/>'
+            )
+            t += 0.5 * sig.green_s  # from mid-green: at an onset, rounding may read red
     return "".join(parts)
 
 

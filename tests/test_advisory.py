@@ -68,7 +68,7 @@ def test_ideal_driver_pinned_when_red_starts_before_the_crossing_instant():
     c = make_corridor(5.046, 8.991, spacing_m=250.0, exit_buffer_m=200.0)
     traj = simulate_advised_driver(c, VehicleParams(), IDEAL_DRIVER)
     sig = c.signals[0]
-    j = _pin_index(traj, sig.stop_line_m)
+    j = _pin_index(traj, c.stop_lines_m[0])
     assert phase_at(sig, traj.t[j - 1]) is Phase.GREEN
     assert traj.emergency_stop
     assert check_safety(traj, c, RULES) == []
@@ -80,7 +80,7 @@ def test_advised_driver_not_crossing_when_green_starts_after_the_crossing_instan
     c = make_corridor(-24.217, 24.156, spacing_m=470.0, exit_buffer_m=200.0)
     traj = simulate_advised_driver(c, VehicleParams())
     sig = c.signals[0]
-    j = _pin_index(traj, sig.stop_line_m)
+    j = _pin_index(traj, c.stop_lines_m[0])
     assert phase_at(sig, traj.t[j - 1]) is Phase.RED
     assert phase_at(sig, traj.t[j]) is Phase.GREEN
     assert check_safety(traj, c, RULES) == []

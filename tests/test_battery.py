@@ -66,7 +66,7 @@ def test_decay_scales_linearly_in_multiplier():
 def test_decay_cost_full_pack_value():
     # wearing the whole pack costs capacity * pack price
     b = BatteryModel()
-    rate = decay_cost_rate(30e3, b)
+    rate = decay_cost_rate(soh_decay_rate(30e3, b), b)
     assert rate == pytest.approx(
         b.pack_price_per_kwh * b.capacity_kwh * abs(soh_decay_rate(30e3, b))
     )

@@ -1,4 +1,5 @@
 """Signal schedule and control-zone geometry tests."""
+import numpy as np
 import pytest
 
 from ecocorridor.corridor import (
@@ -6,6 +7,7 @@ from ecocorridor.corridor import (
     Phase,
     SignalSchedule,
     crossing_allowed,
+    green_at,
     make_corridor,
     next_green_onset,
     next_red_onset,
@@ -14,7 +16,7 @@ from ecocorridor.corridor import (
 
 
 def test_phase_boundaries():
-    sig = SignalSchedule(stop_line_m=100.0, time_to_red_s=15.0)
+    sig = SignalSchedule(time_to_red_s=15.0, red_s=30.0, green_s=30.0)
     # red on [15, 45), green at the onset instant 45
     assert phase_at(sig, 14.999) is Phase.GREEN
     assert phase_at(sig, 15.0) is Phase.RED
@@ -25,8 +27,29 @@ def test_phase_boundaries():
     assert phase_at(sig, 105.0) is Phase.GREEN
 
 
+def test_array_rule_is_phase_at():
+    sig = SignalSchedule(time_to_red_s=15.0, red_s=30.0, green_s=30.0)
+    period = sig.period_s
+
+    def around(t):
+        return [np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)]
+
+    # a red onset, a green onset, and the snap: an offset within 1e-9 s of a
+    # full period, one ulp or 1e-10 s before a red onset, is the onset
+    times = around(15.0) + around(45.0) + around(-45.0) + [15.0 + period - 1e-10]
+    expected = [False, False, False, False, True, True, False, False, False, False]
+    assert [phase_at(sig, t) is Phase.GREEN for t in times] == expected
+    assert green_at(sig, np.array(times)).tolist() == expected
+    # and on times that are not round, against a start that is not either
+    rng = np.random.default_rng(0)
+    for ttr in (15.000000000000002, -7.3, 0.1 + 0.2):
+        sig = SignalSchedule(time_to_red_s=ttr, red_s=30.0, green_s=25.0)
+        t = np.concatenate([rng.uniform(-200.0, 200.0, 500), np.arange(-400, 401) * 0.05])
+        assert green_at(sig, t).tolist() == [phase_at(sig, x) is Phase.GREEN for x in t]
+
+
 def test_phase_extends_to_negative_times():
-    sig = SignalSchedule(stop_line_m=100.0, time_to_red_s=-15.0)
+    sig = SignalSchedule(time_to_red_s=-15.0, red_s=30.0, green_s=30.0)
     # red began 15 s before entry and runs until t=15
     assert phase_at(sig, 0.0) is Phase.RED
     assert phase_at(sig, 14.999) is Phase.RED
@@ -36,7 +59,7 @@ def test_phase_extends_to_negative_times():
 
 
 def test_next_onsets():
-    sig = SignalSchedule(stop_line_m=100.0, time_to_red_s=15.0)
+    sig = SignalSchedule(time_to_red_s=15.0, red_s=30.0, green_s=30.0)
     assert next_green_onset(sig, 20.0) == pytest.approx(45.0)
     assert next_green_onset(sig, 50.0) == 50.0  # already green
     assert next_red_onset(sig, 50.0) == pytest.approx(75.0)
@@ -59,14 +82,9 @@ def test_crossing_allowed():
 
 
 def test_invalid_geometry_rejected():
+    sig = SignalSchedule(time_to_red_s=0.0, red_s=30.0, green_s=30.0)
     with pytest.raises(ValueError, match="speed limit"):
-        Corridor(signals=(SignalSchedule(100.0, 0.0), SignalSchedule(500.0, 0.0)),
-                 speed_limit_m_s=0.0)
+        Corridor(signals=(sig, sig), entry_buffer_m=100.0, light_spacing_m=400.0,
+                 exit_buffer_m=100.0, speed_limit_m_s=0.0)
     with pytest.raises(ValueError):
-        SignalSchedule(stop_line_m=100.0, time_to_red_s=0.0, red_s=0.0)
-    with pytest.raises(ValueError):
-        # stop lines must match the stated buffer/spacing
-        Corridor(signals=(
-            SignalSchedule(50.0, 0.0),
-            SignalSchedule(500.0, 0.0),
-        ))
+        SignalSchedule(time_to_red_s=0.0, red_s=0.0, green_s=30.0)

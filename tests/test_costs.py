@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ecocorridor import battery, costs
 from ecocorridor.battery import BatteryModel
 from ecocorridor.costs import Prices, interval_cost, motion_arc_cost
 from ecocorridor.powertrain import VehicleParams, power_demand
@@ -28,6 +29,22 @@ def test_only_costs_calls_the_power_and_decay_models():
             if name in MODEL and path.name != MODEL[name]:
                 callers.add(path.name)
     assert callers == {"costs.py"}
+
+
+def test_interval_cost_evaluates_the_decay_rate_once(monkeypatch):
+    # the SOH column and the decay cost come from one decay rate
+    rate, calls = battery.soh_decay_rate, []
+
+    def counted(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(battery, "soh_decay_rate", counted)
+    monkeypatch.setattr(costs, "soh_decay_rate", counted)
+    arc = interval_cost(10.0, 14.0, 4.0, VehicleParams(), BatteryModel(), Prices())
+    assert len(calls) == 1
+    assert arc.soh_delta < 0.0
+    assert arc.decay_usd == pytest.approx(-6750.0 * arc.soh_delta, rel=1e-12)
 
 
 def test_interval_cost_at_standstill_is_free():

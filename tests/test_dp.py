@@ -1,10 +1,13 @@
 """Optimizer tests: feasibility, determinism and enumeration agreement."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
+from ecocorridor.config import load_config, override_cell
 from ecocorridor.corridor import Corridor, Phase, SignalSchedule, make_corridor, phase_at
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
@@ -46,8 +49,8 @@ def test_arrival_within_budget(solved):
 
 def test_crossings_on_green(solved):
     c, res = solved
-    for sig in c.signals:
-        t_cross = res.trajectory.crossing_time(sig.stop_line_m)
+    for sig, line in zip(c.signals, c.stop_lines_m):
+        t_cross = res.trajectory.crossing_time(line)
         assert phase_at(sig, t_cross) is Phase.GREEN
 
 
@@ -122,6 +125,24 @@ def test_arcs_must_advance_the_clock():
     with pytest.raises(ValueError, match="too short for the time bins"):
         dp.DpContext(*args, DpGridSpec(time_step_s=1.0, boundary_time_step_s=1.0), Prices(), 60.0)
     dp.DpContext(*args, DpGridSpec(time_step_s=0.25, boundary_time_step_s=0.25), Prices(), 60.0)
+
+
+def test_departure_gate_is_the_phase_rule():
+    # the first red starts one ulp after 15 s, so at t = 15.0 the light's
+    # offset is one ulp short of a full period: the red onset, by the snap
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "paper_sweep.json")
+    spec = override_cell(cfg, (15.000000000000002, 15.0), 200.0)
+    c, vp = spec.corridor(), spec.resolved_vehicle()
+    budget = time_budget(simulate_regular(c, vp, spec.rules).trip_time_s, spec.grid)
+    ctx = dp.DpContext(c, vp, spec.resolved_battery(), spec.grid, spec.prices, budget)
+    m = spec.grid.signal_margin_s
+    t = (ctx.state_bin * ctx.dt[ctx.state_speed]).tolist()
+    assert 15.0 in t
+    for node, sig_idx in ctx.stop_nodes.items():
+        sig = c.signals[sig_idx]
+        gate = [phase_at(sig, x) is Phase.GREEN and phase_at(sig, x - m) is Phase.GREEN
+                for x in t]
+        assert ctx.green_states(node).tolist() == gate, node
 
 
 def test_matches_enumeration_on_tiny_instances():
@@ -356,8 +377,7 @@ def test_empty_stage_is_infeasible():
     # stop line and every window of the next stage is empty
     c = Corridor(entry_buffer_m=100.0, light_spacing_m=100.0, exit_buffer_m=50.0,
                  speed_limit_m_s=10.0,
-                 signals=(SignalSchedule(100.0, -1.0, 100.0, 10.0),
-                          SignalSchedule(200.0, 0.0, 4.0, 4.0)))
+                 signals=(SignalSchedule(-1.0, 100.0, 10.0), SignalSchedule(0.0, 4.0, 4.0)))
     g = DpGridSpec(distance_step_m=50.0, speed_step_m_s=2.5, time_step_s=1.0,
                    boundary_time_step_s=1.0, signal_margin_s=0.0)
     ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), 40.0)
@@ -461,6 +481,9 @@ def test_second_context_prices_no_arc(monkeypatch):
     assert len(priced) == sum(len(src) for src in first.pair_sources(0))
     priced.clear()
     dp.DpContext(c, vp, bat, g, Prices(), budget)
+    assert priced == []
+    # the solve's backtrack reads its path's arcs off the warm lattice
+    optimize(c, vp, bat, g, Prices(), budget_s=budget)
     assert priced == []
 
 
