@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .baseline import RegularDriverRules, _drive, stopping_acceleration
-from .corridor import Corridor, Phase, SignalSchedule, next_green_onset, next_red_onset, phase_at
+from .corridor import (
+    Corridor, Phase, SignalSchedule, lights_ahead, next_green_onset, next_red_onset, phase_at,
+)
 from .powertrain import VehicleParams
 from .trajectory import Trajectory
 
@@ -103,7 +105,7 @@ def recommend(
     """
     limit = c.speed_limit_m_s
     cfg.check_limit(limit)
-    unpassed = [(s, line) for s, line in zip(c.signals, c.stop_lines_m) if x < line - 1e-9]
+    unpassed = [(c.signals[idx], line) for idx, line in lights_ahead(c, x)]
     if not unpassed:
         target = limit
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .corridor import Corridor, Phase, phase_at
+from .corridor import Corridor, Phase, lights_ahead, phase_at
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
@@ -28,35 +28,35 @@ class RegularDriverRules:
 
 
 def _visible_red_light(c: Corridor, x: float, t: float, sight_m: float):
-    """Nearest downstream stop line that is currently Red and within sight."""
-    for idx, (sig, line) in enumerate(zip(c.signals, c.stop_lines_m)):
+    """Nearest stop line ahead, as (signal index, gap), if it is Red and
+    within sight; None if it is green or out of sight, or there is none."""
+    ahead = lights_ahead(c, x)
+    if ahead:
+        idx, line = ahead[0]
         d = line - x
-        if d < -1e-9:
-            continue
-        if d <= sight_m and phase_at(sig, t) is Phase.RED:
+        if d <= sight_m and phase_at(c.signals[idx], t) is Phase.RED:
             return idx, d
-        return None  # nearest unpassed light is either green or out of sight
     return None
 
 
 def _red_line_crossed(c: Corridor, t: float, x: float, x_new: float, v_new: float):
     """Stop line that the step x -> x_new reaches while it is Red, or None.
 
-    Only the first unpassed line can be reached in one step. The
+    Only the nearest line ahead can be reached in one step. The
     semi-implicit step moves at v_new throughout, so the vehicle reaches the
     line at t + (line - x) / v_new exactly; the phase is read at that instant,
     not at either end of the step.
     """
     if v_new <= 0.0:
         return None
-    for sig, line in zip(c.signals, c.stop_lines_m):
-        if x > line + 1e-9:
-            continue
-        if x_new < line - 1e-9:
-            return None
-        t_cross = t + max(line - x, 0.0) / v_new
-        return line if phase_at(sig, t_cross) is Phase.RED else None
-    return None
+    ahead = lights_ahead(c, x)
+    if not ahead:
+        return None
+    idx, line = ahead[0]
+    if x_new < line - 1e-9:
+        return None
+    t_cross = t + max(line - x, 0.0) / v_new
+    return line if phase_at(c.signals[idx], t_cross) is Phase.RED else None
 
 
 def _trim_last_step(ts, xs, vs, accs, length: float, limit: float) -> None:

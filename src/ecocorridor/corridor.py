@@ -133,6 +133,12 @@ def make_corridor(
     )
 
 
+def lights_ahead(c: Corridor, x: float) -> list[tuple[int, float]]:
+    """Index and stop line of each light ahead of position x, nearest first.
+    A vehicle at a stop line, to 1e-9 m, has not passed it."""
+    return [(idx, line) for idx, line in enumerate(c.stop_lines_m) if x <= line + 1e-9]
+
+
 def crossing_allowed(c: Corridor, light_index: int, t: float) -> bool:
     """Whether crossing the given stop line at time t is legal (Green phase).
 

@@ -19,9 +19,7 @@ import numpy as np
 from .battery import BatteryModel
 from .corridor import Corridor, green_at
 from .costs import ArcCost, CostBreakdown, Prices, interval_cost, motion_arc_cost, record_arcs
-from .forward import (
-    Pairs, SolveStats, bins_within, build_plan, forward_pass, tie_eps, time_order,
-)
+from .forward import Pairs, SolveStats, bins_within, build_plan, forward_pass, time_order
 from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
@@ -215,9 +213,6 @@ class DpContext:
         """The state of a (speed bin, time bin) pair."""
         return int(self.state_at[self.offsets[speed_idx] + time_bin])
 
-    def arc_arrival_bin(self, t_from: float, dur: float, dest_speed: int, stage: int) -> int:
-        return int(np.rint((t_from + dur) / self.dt[dest_speed] + tie_eps(stage)))
-
 
 @dataclass
 class DpResult:
@@ -279,7 +274,7 @@ def optimize(
         if j == 0 and k in waits and waits[k][tb]:
             s = ctx.state(0, tb - 1)
             continue
-        s = fp.pred(k, s)
+        s = int(fp.pred(k, [s])[0])
         if s < 0:
             raise AssertionError("broken predecessor chain")
         k -= 1

@@ -2,13 +2,19 @@
 
 Generates small corridors and coarse grids where every feasible path can be
 enumerated, then checks that dynamic programming finds exactly the same
-minimum. The enumeration checks each arc with `transition`, a scalar
-restatement of the solver's arc rules. Both sides read the solver's arc-cost
-table, so agreement is exact. The solver is reached as `dp.optimize` and
-`dp.DpContext`, so wrappers placed on the `dp` module see the oracle's
-solves too."""
+minimum. The enumeration generates each arc once (`_arcs`) from its own
+statement of the solver's arc rules: a wait only at zero speed at a stop
+line, within the budget; a departure from a stop line only on green at t
+and at t - `signal_margin_s` (`phase_at`, never the solver's gate); the
+acceleration bounds; the duration 2 dx / (v0 + v1); one rounded arrival bin
+per arc, within the budget. It shares with the solver the speeds, the bin
+widths and bins per speed, the stop-line nodes, the arrival tie nudge
+(`forward.tie_eps`) and the arc-cost table, so agreement is exact. The
+solver is reached as `dp.optimize` and `dp.DpContext`, so wrappers placed
+on the `dp` module see the oracle's solves too."""
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,21 +24,11 @@ from .battery import BatteryModel
 from .corridor import Corridor, Phase, SignalSchedule, phase_at
 from .costs import Prices
 from .dp import _EPS, DpGridSpec, InfeasibleScenarioError
+from .forward import tie_eps
 from .powertrain import VehicleParams
 
-
-@dataclass(frozen=True)
-class DpState:
-    stage: int
-    time_bin: int
-    speed_bin: int
-
-
-@dataclass(frozen=True)
-class ArcOutcome:
-    feasible: bool
-    reason: str = ""
-    cost_usd: float = 0.0
+# paths one enumeration may count before it gives up
+_MAX_PATHS = 10_000_000
 
 
 def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
@@ -45,87 +41,56 @@ def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
     return phase_at(sig, t) is Phase.GREEN and phase_at(sig, t - m) is Phase.GREEN
 
 
-def transition(from_state: DpState, to_state: DpState, ctx: dp.DpContext) -> ArcOutcome:
-    """Feasibility and cost of a single DP arc (motion or wait)."""
-    g = ctx.grid
-    i, j = from_state.speed_bin, to_state.speed_bin
-    t_from = from_state.time_bin * float(ctx.dt[i])
-
-    if to_state.stage == from_state.stage:
-        # wait arc: zero speed, one time bin forward, stop-line nodes only
-        if from_state.stage not in ctx.stop_nodes:
-            return ArcOutcome(False, "wait arcs allowed only at stop lines")
-        if i != 0 or j != 0:
-            return ArcOutcome(False, "wait arcs require zero speed")
-        if to_state.time_bin != from_state.time_bin + 1:
-            return ArcOutcome(False, "wait arcs advance exactly one time bin")
-        if to_state.time_bin >= ctx.n_t[0]:
-            return ArcOutcome(False, "time budget exceeded")
-        return ArcOutcome(True, cost_usd=ctx.wait_cost.total_usd)
-
-    if to_state.stage != from_state.stage + 1:
-        return ArcOutcome(False, "arcs advance exactly one stage")
-    if not (0 <= i < ctx.n_v and 0 <= j < ctx.n_v):
-        return ArcOutcome(False, "speed exceeds the limit")
-    vi, vj = float(ctx.speeds[i]), float(ctx.speeds[j])
-    if vi + vj <= 0.0:
-        return ArcOutcome(False, "zero-duration arc")
-    a = (vj * vj - vi * vi) / (2.0 * ctx.dx)
-    if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
-        return ArcOutcome(False, "acceleration out of bounds")
-    expected = ctx.arc_arrival_bin(t_from, float(ctx.lattice.dur[i, j]), j, from_state.stage)
-    if to_state.time_bin != expected:
-        return ArcOutcome(False, "arrival time does not match the time bin")
-    if to_state.time_bin >= ctx.n_t[j]:
-        return ArcOutcome(False, "time budget exceeded")
-    if not _departure_allowed(ctx, from_state.stage, t_from):
-        return ArcOutcome(False, "stop-line crossing on red")
-    return ArcOutcome(True, cost_usd=float(ctx.lattice.cost[i, j]))
+def _arcs(ctx: dp.DpContext, k: int, j: int, tb: int) -> Iterator[tuple[int, int, int, float]]:
+    """The arcs out of bin ``tb`` at speed ``j`` of node ``k`` under the arc
+    rules as the oracle states them, each as (node, speed bin, time bin,
+    cost): the wait arc first, then the motion arcs by destination speed."""
+    g, speeds, dt = ctx.grid, ctx.speeds, ctx.dt
+    if k in ctx.stop_nodes and j == 0 and tb + 1 < ctx.n_t[0]:
+        yield k, 0, tb + 1, ctx.wait_cost.total_usd
+    t = tb * float(dt[j])
+    if not _departure_allowed(ctx, k, t):
+        return
+    vi = float(speeds[j])
+    for j2 in range(ctx.n_v):
+        vj = float(speeds[j2])
+        if vi + vj <= 0.0:
+            continue  # zero duration
+        a = (vj * vj - vi * vi) / (2.0 * ctx.dx)
+        if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
+            continue
+        dur = 2.0 * ctx.dx / (vi + vj)
+        tb2 = int(np.rint((t + dur) / dt[j2] + tie_eps(k)))
+        if tb2 < ctx.n_t[j2]:
+            yield k + 1, j2, tb2, float(ctx.lattice.cost[j, j2])
 
 
 class EnumerationBudgetExceeded(RuntimeError):
     pass
 
 
-def _enumerate_min(ctx: dp.DpContext, max_paths: int) -> tuple[float | None, list | None, int]:
-    """Exhaustive DFS over all feasible paths; path costs accumulate in path
-    order so results are bit-comparable with the DP recursion."""
-    counter = {"paths": 0}
-    best = {"value": None, "path": None}
+def _enumerate_min(ctx: dp.DpContext) -> tuple[float | None, int]:
+    """Exhaustive depth-first search over all feasible paths: the minimum
+    cost of those that exit at the speed limit, and the number of paths.
+    Costs accumulate in path order, so results are bit-comparable with the
+    DP recursion."""
+    paths, best = 0, None
     last = ctx.n_nodes - 1
 
-    def recurse(k: int, j: int, tb: int, acc: float, path: list) -> None:
+    def recurse(k: int, j: int, tb: int, acc: float) -> None:
+        nonlocal paths, best
         if k == last:
-            counter["paths"] += 1
-            if counter["paths"] > max_paths:
-                raise EnumerationBudgetExceeded(f"more than {max_paths} paths")
-            if j == ctx.top and (best["value"] is None or acc < best["value"]):
-                best["value"] = acc
-                best["path"] = list(path)
+            paths += 1
+            if paths > _MAX_PATHS:
+                raise EnumerationBudgetExceeded(f"more than {_MAX_PATHS} paths")
+            if j == ctx.top and (best is None or acc < best):
+                best = acc
             return
-        state = DpState(k, tb, j)
-        if k in ctx.stop_nodes and j == 0:
-            wait_to = DpState(k, tb + 1, 0)
-            out = transition(state, wait_to, ctx)
-            if out.feasible:
-                path.append((k, 0, tb + 1))
-                recurse(k, 0, tb + 1, acc + out.cost_usd, path)
-                path.pop()
-        cost = ctx.lattice.cost
-        for j2 in range(ctx.n_v):
-            if not np.isfinite(cost[j, j2]):
-                continue
-            t_from = tb * float(ctx.dt[j])
-            tb2 = ctx.arc_arrival_bin(t_from, float(ctx.lattice.dur[j, j2]), j2, k)
-            out = transition(state, DpState(k + 1, tb2, j2), ctx)
-            if not out.feasible:
-                continue
-            path.append((k + 1, j2, tb2))
-            recurse(k + 1, j2, tb2, acc + out.cost_usd, path)
-            path.pop()
+        for k2, j2, tb2, cost in _arcs(ctx, k, j, tb):
+            recurse(k2, j2, tb2, acc + cost)
 
-    recurse(0, ctx.top, 0, 0.0, [(0, ctx.top, 0)])
-    return best["value"], best["path"], counter["paths"]
+    recurse(0, ctx.top, 0, 0.0)
+    return best, paths
 
 
 def verify_against_enumeration(
@@ -135,7 +100,6 @@ def verify_against_enumeration(
     tiny_grid: DpGridSpec,
     prices: Prices | None = None,
     budget_s: float = 30.0,
-    max_paths: int = 10_000_000,
 ) -> dict:
     """Compare DP against exhaustive path enumeration on a small grid.
 
@@ -143,22 +107,17 @@ def verify_against_enumeration(
     """
     prices = prices or Prices()
     ctx = dp.DpContext(c, v, b, tiny_grid, prices, budget_s)
-    enum_value, enum_path, n_paths = _enumerate_min(ctx, max_paths)
+    enum_value, n_paths = _enumerate_min(ctx)
 
     dp_value = None
-    dp_states = None
     try:
-        res = dp.optimize(c, v, b, tiny_grid, prices, budget_s=budget_s)
-        dp_value = res.value
-        dp_states = res.states
+        dp_value = dp.optimize(c, v, b, tiny_grid, prices, budget_s=budget_s).value
     except InfeasibleScenarioError:
         pass
 
     return {
         "dp_value": dp_value,
         "enumeration_value": enum_value,
-        "enumeration_path": enum_path,
-        "dp_path": dp_states,
         "paths_enumerated": n_paths,
         "agree": (dp_value is None and enum_value is None) or dp_value == enum_value,
     }

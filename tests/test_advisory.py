@@ -48,6 +48,16 @@ def test_past_both_lights_recommends_limit():
     assert adv.target_speed_m_s == pytest.approx(c.speed_limit_m_s)
 
 
+def test_vehicle_at_a_stop_line_has_not_passed_it():
+    # light 0 is red on [0, 30): a vehicle pinned at its line is before it,
+    # as the drivers' stop-line guard holds it
+    c = make_corridor(0.0, 15.0, spacing_m=400.0)
+    cfg = AdvisoryConfig()
+    line = c.stop_lines_m[0]
+    for v in (0.0, 3.0):
+        assert recommend(line, v, 5.0, c, cfg) == recommend(line - 1e-6, v, 5.0, c, cfg)
+
+
 def test_advised_driver_never_crosses_red():
     for x, y in ((0.0, 0.0), (-15.0, 15.0), (15.0, -30.0)):
         c = make_corridor(x, y, spacing_m=400.0)

@@ -1,14 +1,20 @@
 """Tests for the command line interface."""
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from ecocorridor import cli
+from ecocorridor import cli, oracle
 from ecocorridor.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+# `ecocorridor verify --cases 50 --seed 0`: its stdout, and the paths the
+# enumeration walks over the 50 cases. A change to the tiny instances or to
+# the oracle's arc rules that moves either must say so.
+VERIFY_SEED_0_SHA256 = "7f69fe1fdf9540a221e686eccde8b48ba83fbd4c9f57db2ba7bfda9b40064ba5"
+VERIFY_SEED_0_PATHS = 18_331
 
 
 @pytest.fixture()
@@ -86,6 +92,22 @@ def test_verify_command(capsys):
     code = main(["verify", "--cases", "3", "--seed", "1"])
     assert code == EXIT_OK
     assert "matches enumeration" in capsys.readouterr().out
+
+
+def test_verify_output_is_pinned(monkeypatch, capsys):
+    verify, paths = oracle.verify_against_enumeration, []
+
+    def counted(*args, **kwargs):
+        out = verify(*args, **kwargs)
+        paths.append(out["paths_enumerated"])
+        return out
+
+    monkeypatch.setattr(oracle, "verify_against_enumeration", counted)
+    assert main(["verify", "--cases", "50", "--seed", "0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED_0_SHA256
+    assert len(paths) == 50
+    assert sum(paths) == VERIFY_SEED_0_PATHS
 
 
 @pytest.mark.parametrize("argv", [

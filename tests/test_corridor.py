@@ -8,6 +8,7 @@ from ecocorridor.corridor import (
     SignalSchedule,
     crossing_allowed,
     green_at,
+    lights_ahead,
     make_corridor,
     next_green_onset,
     next_red_onset,
@@ -79,6 +80,15 @@ def test_crossing_allowed():
     assert crossing_allowed(c, 0, 10.0)
     assert not crossing_allowed(c, 0, 15.0)
     assert crossing_allowed(c, 1, 45.0)
+
+
+def test_lights_ahead_keep_a_vehicle_at_the_line():
+    c = make_corridor(15.0, 15.0, spacing_m=400.0)
+    assert lights_ahead(c, 0.0) == [(0, 100.0), (1, 500.0)]
+    assert lights_ahead(c, 100.0) == [(0, 100.0), (1, 500.0)]
+    assert lights_ahead(c, 100.0 + 1e-6) == [(1, 500.0)]
+    assert lights_ahead(c, 500.0) == [(1, 500.0)]
+    assert lights_ahead(c, 500.0 + 1e-6) == []
 
 
 def test_invalid_geometry_rejected():

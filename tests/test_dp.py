@@ -152,6 +152,37 @@ def test_matches_enumeration_on_tiny_instances():
     assert report.paths_total > 0
 
 
+def _departures_never_allowed(monkeypatch):
+    monkeypatch.setattr(dp.DpContext, "green_states", lambda self, node: None)
+
+
+def _departures_always_allowed(monkeypatch):
+    monkeypatch.setattr(dp.DpContext, "green_states",
+                        lambda self, node: np.ones(self.n_states, dtype=bool))
+
+
+def _arcs_timed_at_the_faster_speed(monkeypatch):
+    arc_cost = dp.motion_arc_cost
+    monkeypatch.setattr(dp, "motion_arc_cost", lambda v0, v1, dx, *rest: arc_cost(
+        v0, v1, dx, *rest)._replace(duration_s=dx / max(v0, v1)))
+
+
+@pytest.mark.parametrize("plant", [
+    _departures_never_allowed, _departures_always_allowed, _arcs_timed_at_the_faster_speed,
+])
+def test_enumeration_catches_planted_solver_defects(monkeypatch, plant):
+    # the oracle states the green gate and the arc durations for itself, so
+    # a solver that breaks either must disagree with it
+    plant(monkeypatch)
+    _forget_lattices()
+    try:
+        report = run_oracle_suite(cases=12, seed=7)
+    finally:
+        _forget_lattices()
+    assert report.cases == 12
+    assert report.failures > 0
+
+
 def _green_bins(ctx, node):
     """Per speed, departure legality by time bin at a stop-line node: the
     per-state mask read through the state numbering."""
@@ -285,9 +316,11 @@ def _reaches_exit(ctx, signals=True):
 def _assert_matches_reference(ctx):
     """The windowed pass against the loop: identical on every state inside
     a node's window, unset outside it, and no state the loop reaches outside
-    the window can reach the exit. Predecessors come from ``fp.pred`` and
-    are read back as (speed, bin) through ``ctx.unflatten``. Returns the pass
-    and how many reached states fell outside the windows."""
+    the window can reach the exit. Predecessors come from one ``fp.pred``
+    call per node and speed, which one-state calls on every 16th state inside
+    the window must match, and are read back as (speed, bin) through the
+    state numbering that ``ctx.unflatten`` reads. Returns the pass and how
+    many reached states fell outside the windows."""
     ref_vals, ref_preds = _reference_forward_pass(ctx)
     fp = forward_pass(ctx)
     reaches = _reaches_exit(ctx)
@@ -298,13 +331,17 @@ def _assert_matches_reference(ctx):
     dropped = 0
     for k, ref in enumerate(ref_preds):
         for j in range(ctx.n_v):
-            preds = [fp.pred(k, s) for s in states[j]]
-            v, t = np.array([ctx.unflatten(p) if p >= 0 else (-1, -1) for p in preds]).T
+            preds = fp.pred(k, states[j])
+            v = np.where(preds >= 0, ctx.state_speed[preds].astype(int), -1)
+            t = np.where(preds >= 0, ctx.state_bin[preds].astype(int), -1)
             wait = np.zeros(ctx.n_t[j], dtype=bool)
             if k in fp.waits and j == 0:
                 wait[:] = fp.waits[k]
             tb = np.arange(ctx.n_t[j])
             inside = (tb >= fp.lo[k, j]) & (tb <= fp.latest[k, j])
+            # a one-state call, as the backtrack makes, reads the same
+            for i in np.flatnonzero(inside)[::16]:
+                assert fp.pred(k, [states[j][i]]).tolist() == [preds[i]], (k, j, i)
             for key, got in (("v", v), ("t", t), ("wait", wait)):
                 assert np.array_equal(ref[j][key][inside], got[inside]), (k, j, key)
             assert (v[~inside] == -1).all(), (k, j)
