@@ -274,7 +274,7 @@ def optimize(
         if j == 0 and k in waits and waits[k][tb]:
             s = ctx.state(0, tb - 1)
             continue
-        s = int(fp.pred(k, [s])[0])
+        s = fp.pred(k, s)
         if s < 0:
             raise AssertionError("broken predecessor chain")
         k -= 1

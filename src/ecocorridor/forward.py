@@ -307,42 +307,11 @@ class ForwardPass:
     chunks: int                   # chunks relaxed over all stages
     ctx: DpContext
 
-    def pred(self, node: int, states: list[int] | np.ndarray) -> np.ndarray:
-        """Per state of ``states`` at ``node``, the state at the previous
-        node that gave it its value, or -1: the first minimum of the state's
-        group, recomputed from the values the previous node's departures
-        read, as the stage computed it.
-
-        Several states are read as one row of candidates each, padded to the
-        longest group. One state, which the backtrack asks for at every node,
-        is read as slices of its group: on a 2-vCPU Xeon the padded rows take
-        about 45 us a call against 19 us, which would add about 5% to the
-        64-cell paper sweep."""
-        if len(states) == 1:
-            return np.array([self._pred_one(node, int(states[0]))])
-        ctx = self.ctx
-        states = np.asarray(states, dtype=np.intp)
-        first, dep = self.departures[node - 1] if node else (0, ())
-        if not len(dep):  # no previous node, or nothing reached there
-            return np.full(len(states), -1)
-        plan = ctx.lattice.plans()[(node - 1) % 2]
-        j, tb = ctx.state_speed[states], ctx.state_bin[states]
-        a = plan.starts[states]
-        # candidates per state: its group inside the window, none outside
-        inside = (self.lo[node][j] <= tb) & (tb <= self.latest[node][j])
-        n = (plan.starts[states + 1] - a) * inside
-        col = np.arange(n.max(initial=1))
-        row = a[:, None] + col
-        at = plan.src.take(row, mode="clip") - first
-        # the run holds every reached source
-        reached = (col < n[:, None]) & (at >= 0) & (at < len(dep))
-        cost = ctx.lattice.cost.ravel()[plan.pair.take(row, mode="clip")]
-        cand = np.where(reached, dep.take(at, mode="clip") + cost, np.inf)
-        best = cand.argmin(axis=1)
-        return np.where(cand.min(axis=1) < np.inf, plan.src.take(a + best, mode="clip"), -1)
-
-    def _pred_one(self, node: int, state: int) -> int:
-        """``pred`` of one state."""
+    def pred(self, node: int, state: int) -> int:
+        """State at the previous node that gave ``state`` at ``node`` its
+        value, or -1: the first minimum of the state's group, recomputed
+        from the values the previous node's departures read, as the stage
+        computed it."""
         j, tb = self.ctx.unflatten(state)
         if node == 0 or not self.lo[node, j] <= tb <= self.latest[node, j]:
             return -1

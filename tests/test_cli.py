@@ -10,10 +10,12 @@ from ecocorridor import cli, oracle
 from ecocorridor.cli import EXIT_FAILED, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-# `ecocorridor verify --cases 50 --seed 0`: its stdout, and the paths the
-# enumeration walks over the 50 cases. A change to the tiny instances or to
-# the oracle's arc rules that moves either must say so.
-VERIFY_SEED_0_SHA256 = "7f69fe1fdf9540a221e686eccde8b48ba83fbd4c9f57db2ba7bfda9b40064ba5"
+# The 50 cases of `ecocorridor verify --cases 50 --seed 0`: the sha256 of the
+# verbose report's lines, which hold each case's optimizer and enumeration
+# values and path count, and the paths the enumeration walks over all 50. A
+# change to the tiny instances or to the oracle's arc rules that moves either
+# must say so.
+VERIFY_SEED_0_LINES_SHA256 = "5348b6512c739acc2a7338ccfa3546944a1f969624e2aa2fe18d14c908b1afc9"
 VERIFY_SEED_0_PATHS = 18_331
 
 
@@ -94,20 +96,14 @@ def test_verify_command(capsys):
     assert "matches enumeration" in capsys.readouterr().out
 
 
-def test_verify_output_is_pinned(monkeypatch, capsys):
-    verify, paths = oracle.verify_against_enumeration, []
-
-    def counted(*args, **kwargs):
-        out = verify(*args, **kwargs)
-        paths.append(out["paths_enumerated"])
-        return out
-
-    monkeypatch.setattr(oracle, "verify_against_enumeration", counted)
+def test_verify_report_is_pinned(capsys):
+    report = oracle.run_oracle_suite(cases=50, seed=0, verbose=True)
+    assert (report.cases, report.failures, len(report.lines)) == (50, 0, 50)
+    digest = hashlib.sha256("\n".join(report.lines).encode()).hexdigest()
+    assert digest == VERIFY_SEED_0_LINES_SHA256
+    assert report.paths_total == VERIFY_SEED_0_PATHS
     assert main(["verify", "--cases", "50", "--seed", "0"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED_0_SHA256
-    assert len(paths) == 50
-    assert sum(paths) == VERIFY_SEED_0_PATHS
+    assert capsys.readouterr().out == "ok: optimizer matches enumeration on all 50 cases\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -316,11 +316,9 @@ def _reaches_exit(ctx, signals=True):
 def _assert_matches_reference(ctx):
     """The windowed pass against the loop: identical on every state inside
     a node's window, unset outside it, and no state the loop reaches outside
-    the window can reach the exit. Predecessors come from one ``fp.pred``
-    call per node and speed, which one-state calls on every 16th state inside
-    the window must match, and are read back as (speed, bin) through the
-    state numbering that ``ctx.unflatten`` reads. Returns the pass and how
-    many reached states fell outside the windows."""
+    the window can reach the exit. Predecessors come from ``fp.pred`` and
+    are read back as (speed, bin) through ``ctx.unflatten``. Returns the pass
+    and how many reached states fell outside the windows."""
     ref_vals, ref_preds = _reference_forward_pass(ctx)
     fp = forward_pass(ctx)
     reaches = _reaches_exit(ctx)
@@ -331,17 +329,13 @@ def _assert_matches_reference(ctx):
     dropped = 0
     for k, ref in enumerate(ref_preds):
         for j in range(ctx.n_v):
-            preds = fp.pred(k, states[j])
-            v = np.where(preds >= 0, ctx.state_speed[preds].astype(int), -1)
-            t = np.where(preds >= 0, ctx.state_bin[preds].astype(int), -1)
+            preds = [fp.pred(k, s) for s in states[j]]
+            v, t = np.array([ctx.unflatten(p) if p >= 0 else (-1, -1) for p in preds]).T
             wait = np.zeros(ctx.n_t[j], dtype=bool)
             if k in fp.waits and j == 0:
                 wait[:] = fp.waits[k]
             tb = np.arange(ctx.n_t[j])
             inside = (tb >= fp.lo[k, j]) & (tb <= fp.latest[k, j])
-            # a one-state call, as the backtrack makes, reads the same
-            for i in np.flatnonzero(inside)[::16]:
-                assert fp.pred(k, [states[j][i]]).tolist() == [preds[i]], (k, j, i)
             for key, got in (("v", v), ("t", t), ("wait", wait)):
                 assert np.array_equal(ref[j][key][inside], got[inside]), (k, j, key)
             assert (v[~inside] == -1).all(), (k, j)
