@@ -5,12 +5,19 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .baseline import RegularDriverRules, _drive, stopping_acceleration
+from .baseline import TIMESTEP_S, RegularDriverRules, _drive, stopping_acceleration
 from .corridor import (
     Corridor, Phase, SignalSchedule, lights_ahead, next_green_onset, next_red_onset, phase_at,
 )
 from .powertrain import VehicleParams
 from .trajectory import Trajectory
+
+# The advice aims this far inside a green window, at either end: the
+# discrete dynamics track a pace imperfectly, and reaching the line even a
+# fraction outside the window forces a full stop.
+ONSET_MARGIN_S = 0.5
+# below this target speed a driver drifts a little fast
+DRIFT_BELOW_M_S = 10.0
 
 
 class Action(Enum):
@@ -30,7 +37,6 @@ class AdvisoryConfig:
     update_rate_hz: float = 1.0
     min_cruise_m_s: float = 4.5
     accel_m_s2: float = 2.0  # assumed when judging whether a window is makeable
-    lookahead_lights: int = 2
 
     def __post_init__(self) -> None:
         if self.update_rate_hz <= 0.0:
@@ -51,7 +57,6 @@ class DriverFollowingModel:
     reaction_delay_s: float = 1.0
     speed_tracking_time_constant_s: float = 2.0
     low_speed_drift_m_s: float = 0.5
-    drift_below_m_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.reaction_delay_s < 0.0:
@@ -78,18 +83,20 @@ def _min_travel_time(d: float, v: float, limit: float, cfg: AdvisoryConfig) -> f
 def _light_target(
     sig: SignalSchedule, d: float, v: float, t: float, limit: float, cfg: AdvisoryConfig
 ) -> tuple[float, float]:
-    """(cruise target, floor to still make the green window) for one light."""
+    """(cruise target, floor) for one light. The floor is the pace that
+    reaches the line ONSET_MARGIN_S before the green window it aims at
+    closes, or the limit when that window is too short."""
     if phase_at(sig, t) is Phase.GREEN:
         remaining_green = next_red_onset(sig, t) - t
         if _min_travel_time(d, v, limit, cfg) <= remaining_green:
-            floor = d / remaining_green if remaining_green > 0 else limit
-            return limit, floor
+            window = remaining_green - ONSET_MARGIN_S
+            return limit, (d / window if window > 0 else limit)
         t_on = next_green_onset(sig, next_red_onset(sig, t))
     else:
         t_on = next_green_onset(sig, t)
     target = d / (t_on - t) if t_on > t else limit
-    floor = d / (t_on + sig.green_s - t)
-    return target, floor
+    window = t_on + sig.green_s - ONSET_MARGIN_S - t
+    return target, (d / window if window > 0 else limit)
 
 
 def recommend(
@@ -113,7 +120,7 @@ def recommend(
         d1 = line1 - x
         target1, floor1 = _light_target(first, d1, v, t, limit, cfg)
         target = target1
-        if len(unpassed) > 1 and cfg.lookahead_lights >= 2:
+        if len(unpassed) > 1:
             second, line2 = unpassed[1]
             v_plan = min(max(target1, cfg.min_cruise_m_s), limit)
             t1 = t + d1 / v_plan
@@ -150,7 +157,6 @@ def simulate_advised_driver(
     d = d or DriverFollowingModel()
     cfg = cfg or AdvisoryConfig()
     rules = rules or RegularDriverRules()
-    dt = rules.timestep_s
     limit = c.speed_limit_m_s
     update_dt = 1.0 / cfg.update_rate_hz
 
@@ -170,7 +176,7 @@ def simulate_advised_driver(
         for t_issue, tgt in issued:
             if t_issue <= t - d.reaction_delay_s + 1e-9:
                 target = tgt
-        if target < d.drift_below_m_s:
+        if target < DRIFT_BELOW_M_S:
             target = target + d.low_speed_drift_m_s
 
         stopping = False
@@ -178,13 +184,10 @@ def simulate_advised_driver(
             idx, gap = seen
             # unlike the regular driver, the advised one knows the signal
             # schedule: approach a visible red at the pace that reaches the
-            # stop line exactly as it turns green; when that pace is a
-            # crawl, stopping and waiting is cheaper than inching forward.
-            # Aim half a second past the onset: the discrete dynamics
-            # track the pace imperfectly, and reaching the line even a
-            # fraction early would force a full stop
+            # stop line just after it turns green; when that pace is a
+            # crawl, stopping and waiting is cheaper than inching forward
             onset = next_green_onset(c.signals[idx], t)
-            pace = gap / max(onset + 0.5 - t, dt)
+            pace = gap / max(onset + ONSET_MARGIN_S - t, TIMESTEP_S)
             if pace < 2.0:
                 stopping = True
             else:
@@ -194,10 +197,10 @@ def simulate_advised_driver(
         # highly responsive driver settles on the target instead of
         # overshooting it every step and chattering between full throttle
         # and full brake
-        a = (target - speed) / max(d.speed_tracking_time_constant_s, dt)
+        a = (target - speed) / max(d.speed_tracking_time_constant_s, TIMESTEP_S)
         a = min(max(a, rules.decel_min_m_s2), rules.accel_max_m_s2)
         if stopping:
             a = min(a, stopping_acceleration(speed, gap, rules))
         return a
 
-    return _drive(c, rules, policy)
+    return _drive(c, policy)

@@ -9,32 +9,29 @@ from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
 _MAX_SIM_TIME_S = 3600.0
+# how far ahead a driver sees a red light, and the closed-loop time step
+SIGHT_DISTANCE_M = 75.0
+TIMESTEP_S = 0.1
 
 
 @dataclass(frozen=True)
 class RegularDriverRules:
-    sight_distance_m: float = 75.0
     accel_max_m_s2: float = 2.0
     decel_min_m_s2: float = -4.0
-    timestep_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.sight_distance_m <= 0.0:
-            raise ValueError("sight distance must be > 0")
         if not (self.accel_max_m_s2 > 0.0 > self.decel_min_m_s2):
             raise ValueError("need accel_max > 0 > decel_min")
-        if self.timestep_s <= 0.0:
-            raise ValueError("timestep must be > 0")
 
 
-def _visible_red_light(c: Corridor, x: float, t: float, sight_m: float):
+def _visible_red_light(c: Corridor, x: float, t: float):
     """Nearest stop line ahead, as (signal index, gap), if it is Red and
     within sight; None if it is green or out of sight, or there is none."""
     ahead = lights_ahead(c, x)
     if ahead:
         idx, line = ahead[0]
         d = line - x
-        if d <= sight_m and phase_at(c.signals[idx], t) is Phase.RED:
+        if d <= SIGHT_DISTANCE_M and phase_at(c.signals[idx], t) is Phase.RED:
             return idx, d
     return None
 
@@ -83,7 +80,7 @@ def stopping_acceleration(v: float, gap_m: float, rules: RegularDriverRules) -> 
     return max(-v * v / (2.0 * gap_m), rules.decel_min_m_s2)
 
 
-def _drive(c: Corridor, rules: RegularDriverRules, policy) -> Trajectory:
+def _drive(c: Corridor, policy) -> Trajectory:
     """Closed-loop integrator shared by the regular and advised drivers.
 
     Enters at the speed limit at t=0 and asks `policy(t, x, speed, seen)` for
@@ -96,7 +93,7 @@ def _drive(c: Corridor, rules: RegularDriverRules, policy) -> Trajectory:
     it was still moving). The step that overshoots the corridor end is redone
     as a constant-acceleration partial step.
     """
-    dt = rules.timestep_s
+    dt = TIMESTEP_S
     limit = c.speed_limit_m_s
     length = c.length_m
 
@@ -107,7 +104,7 @@ def _drive(c: Corridor, rules: RegularDriverRules, policy) -> Trajectory:
     while x < length:
         if t > _MAX_SIM_TIME_S:
             raise RuntimeError("driver simulation did not terminate")
-        seen = _visible_red_light(c, x, t, rules.sight_distance_m)
+        seen = _visible_red_light(c, x, t)
         a = policy(t, x, speed, seen)
         # crawl has effectively converged; stand until green
         holding = seen is not None and speed <= 0.25 and seen[1] <= 1.0
@@ -154,7 +151,7 @@ def simulate_regular(
         if seen is not None:
             return stopping_acceleration(speed, seen[1], r)
         if speed < limit:
-            return min(r.accel_max_m_s2, (limit - speed) / r.timestep_s)
+            return min(r.accel_max_m_s2, (limit - speed) / TIMESTEP_S)
         return 0.0
 
-    return _drive(c, r, policy)
+    return _drive(c, policy)

@@ -7,6 +7,9 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 GAS_CONSTANT = 8.3144  # J/mol/K
+# The pack's nominal voltage and cell temperature. No study varies them.
+NOMINAL_VOLTAGE_V = 350.0
+TEMPERATURE_K = 298.15
 
 _COEFF_HEADER = ["c_rate", "M", "Ea_J_per_mol"]
 
@@ -58,10 +61,7 @@ def _validate_table(rows) -> tuple[DecayCoefficientRow, ...]:
 @dataclass(frozen=True)
 class BatteryModel:
     capacity_kwh: float = 54.0
-    nominal_voltage_v: float = 350.0
     eol_capacity_loss: float = 0.20   # fraction of capacity at end of life
-    gas_constant: float = GAS_CONSTANT
-    temperature_k: float = 298.15
     power_z: float = 0.55
     coeff_table: tuple[DecayCoefficientRow, ...] = field(
         default_factory=default_coefficient_table
@@ -74,8 +74,8 @@ class BatteryModel:
     pack_price_per_kwh: float = 125.0
 
     def __post_init__(self) -> None:
-        if self.capacity_kwh <= 0.0 or self.nominal_voltage_v <= 0.0:
-            raise ValueError("capacity and voltage must be positive")
+        if self.capacity_kwh <= 0.0:
+            raise ValueError("capacity must be positive")
         if self.pack_price_per_kwh <= 0.0:
             raise ValueError("pack price must be positive")
         if not 0.0 < self.eol_capacity_loss < 1.0:
@@ -99,7 +99,7 @@ def c_rate(p_batt_w: float, b: BatteryModel) -> float:
 
 def current(p_batt_w: float, b: BatteryModel) -> float:
     """Signed pack current (A) at nominal voltage."""
-    return p_batt_w / b.nominal_voltage_v
+    return p_batt_w / NOMINAL_VOLTAGE_V
 
 
 def _interp_coeffs(c: float, table) -> tuple[float, float]:
@@ -127,7 +127,7 @@ def lifetime_ah_throughput(c: float, b: BatteryModel) -> float:
     if c < 0.0:
         raise ValueError("c-rate must be >= 0")
     m, ea = _interp_coeffs(c, b.coeff_table)
-    denom = m * math.exp(-ea / (b.gas_constant * b.temperature_k))
+    denom = m * math.exp(-ea / (GAS_CONSTANT * TEMPERATURE_K))
     base = (b.eol_capacity_loss * 100.0 / denom) ** (1.0 / b.power_z)
     return base * b.capacity_kwh / b.reference_capacity_kwh
 

@@ -41,7 +41,7 @@ def _build(cls, block: dict, name: str, **extra):
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' block: {sorted(unknown)}")
     for key, value in block.items():
-        if allowed[key] in ("float", "int"):
+        if allowed[key] == "float":
             _number(value, f"{name}.{key}")
         elif allowed[key] == "bool":
             _flag(value, f"{name}.{key}")

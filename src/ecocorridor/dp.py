@@ -24,6 +24,8 @@ from .powertrain import VehicleParams
 from .trajectory import Trajectory, from_samples
 
 _EPS = 1e-9
+# width of the band below the speed limit whose speeds get the fine time bins
+BOUNDARY_BAND_M_S = 1.0
 
 
 class InfeasibleScenarioError(RuntimeError):
@@ -38,7 +40,6 @@ class DpGridSpec:
     speed_step_m_s: float = 0.5
     time_step_s: float = 0.25
     boundary_time_step_s: float = 0.05
-    boundary_band_m_s: float = 1.0
     time_buffer_frac: float = 0.0  # 0: the regular driver's trip time
     accel_max_m_s2: float = 2.0
     decel_min_m_s2: float = -4.0
@@ -78,7 +79,7 @@ class Lattice:
             speeds.append(limit)
         self.speeds = np.array(speeds)
         self.n_v = n = len(speeds)
-        band_lo = limit - grid.boundary_band_m_s - 1e-9
+        band_lo = limit - BOUNDARY_BAND_M_S - 1e-9
         self.dt = np.where(self.speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
 
         dx = grid.distance_step_m

@@ -3,49 +3,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Road-load and efficiency-chain coefficients of the simulated EV. No study
+# varies them, so they are constants; the mass belongs to the vehicle variant.
+ROLLING_C1 = 0.0065
+ROLLING_C2 = 4.92e-5  # s/m
+FRONTAL_AREA_M2 = 2.22
+DRAG_COEFF = 0.23
+AIR_DENSITY_KG_M3 = 1.2
+GRAVITY_M_S2 = 9.81
+# transmission x motor x inverter efficiency
+EFF_CHAIN = 0.8536 * 0.90 * 0.95
+REGEN_POWER_CAP_W = 60e3
+
 
 @dataclass(frozen=True)
 class VehicleParams:
-    """Road-load and efficiency-chain parameters of the simulated EV."""
+    """The settings of the simulated EV that a study varies."""
 
     mass_kg: float = 1611.0
-    rolling_c1: float = 0.0065
-    rolling_c2: float = 4.92e-5  # s/m
-    frontal_area_m2: float = 2.22
-    drag_coeff: float = 0.23
-    air_density_kg_m3: float = 1.2
-    gravity_m_s2: float = 9.81
-    eff_trans: float = 0.8536
-    eff_motor: float = 0.90
-    eff_inverter: float = 0.95
     regen_enabled: bool = True
-    regen_power_cap_w: float = 60e3
 
     def __post_init__(self) -> None:
-        for name in ("eff_trans", "eff_motor", "eff_inverter"):
-            e = getattr(self, name)
-            if not 0.0 < e <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {e}")
-        for name in ("mass_kg", "frontal_area_m2", "air_density_kg_m3", "gravity_m_s2"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.rolling_c1 < 0.0 or self.rolling_c2 < 0.0:
-            raise ValueError("rolling coefficients must be >= 0")
-        if self.regen_power_cap_w < 0.0:
-            raise ValueError("regen_power_cap_w must be >= 0")
-
-    @property
-    def eff_chain(self) -> float:
-        return self.eff_trans * self.eff_motor * self.eff_inverter
+        if self.mass_kg <= 0.0:
+            raise ValueError("mass_kg must be positive")
 
 
 def wheel_power(v: float, a: float, p: VehicleParams) -> float:
     """Tractive power at the wheels on a flat road (signed, W)."""
-    m, g = p.mass_kg, p.gravity_m_s2
+    m, g = p.mass_kg, GRAVITY_M_S2
     force = (
         m * a
-        + (p.rolling_c1 + p.rolling_c2 * v) * m * g
-        + 0.5 * p.air_density_kg_m3 * p.frontal_area_m2 * p.drag_coeff * v * v
+        + (ROLLING_C1 + ROLLING_C2 * v) * m * g
+        + 0.5 * AIR_DENSITY_KG_M3 * FRONTAL_AREA_M2 * DRAG_COEFF * v * v
     )
     return force * v
 
@@ -62,7 +51,7 @@ def power_demand(v: float, a: float, p: VehicleParams) -> float:
         raise ValueError("speed must be >= 0")
     p_w = wheel_power(v, a, p)
     if p_w >= 0.0:
-        return p_w / p.eff_chain
+        return p_w / EFF_CHAIN
     if not p.regen_enabled:
         return 0.0
-    return max(p_w * p.eff_chain, -p.regen_power_cap_w)
+    return max(p_w * EFF_CHAIN, -REGEN_POWER_CAP_W)

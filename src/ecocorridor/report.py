@@ -21,8 +21,13 @@ DECAY_HEADER = [
 ]
 
 
+def _cell_fields(timing: tuple[float, float], spacing_m: float) -> list[str]:
+    """A cell's two time-to-red values and spacing, as every report writes them."""
+    return [f"{timing[0]:g}", f"{timing[1]:g}", f"{spacing_m:g}"]
+
+
 def cell_basename(timing: tuple[float, float], spacing_m: float) -> str:
-    return f"timing_{timing[0]:g}_{timing[1]:g}_s{spacing_m:g}"
+    return "timing_{}_{}_s{}".format(*_cell_fields(timing, spacing_m))
 
 
 def write_sweep_csv(res: SweepResult, path: str | Path) -> Path:
@@ -33,15 +38,12 @@ def write_sweep_csv(res: SweepResult, path: str | Path) -> Path:
         w = csv.writer(fh)
         w.writerow(SWEEP_HEADER)
         for cell in res.cells:
+            key = _cell_fields(cell.timing, cell.spacing_m)
             if cell.result is None:
-                w.writerow(
-                    [f"{cell.timing[0]:g}", f"{cell.timing[1]:g}", f"{cell.spacing_m:g}"]
-                    + [""] * 11 + [cell.error]
-                )
+                w.writerow(key + [""] * 11 + [cell.error])
                 continue
             r = cell.result
-            w.writerow([
-                f"{cell.timing[0]:g}", f"{cell.timing[1]:g}", f"{cell.spacing_m:g}",
+            w.writerow(key + [
                 f"{r.regular_cost.total_usd:.6f}", f"{r.eco_cost.total_usd:.6f}",
                 f"{r.reduction_pct:.2f}",
                 f"{r.regular_cost.energy_kwh:.6f}", f"{r.eco_cost.energy_kwh:.6f}",
@@ -62,7 +64,7 @@ def write_decay_comparison_csv(res: DecayComparisonResult, path: str | Path) -> 
         w = csv.writer(fh)
         w.writerow(DECAY_HEADER)
         for cell in res.cells:
-            row = [f"{cell.timing[0]:g}", f"{cell.timing[1]:g}", f"{cell.spacing_m:g}"]
+            row = _cell_fields(cell.timing, cell.spacing_m)
             if cell.error:
                 row += ["", "", cell.error]
             else:

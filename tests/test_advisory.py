@@ -73,14 +73,25 @@ def _pin_index(traj, line):
 
 
 def test_ideal_driver_pinned_when_red_starts_before_the_crossing_instant():
-    # paced by the advisory to the end of light 0's green (red at 5.046 s),
-    # the driver reaches the line inside the step that starts on green
-    c = make_corridor(5.046, 8.991, spacing_m=250.0, exit_buffer_m=200.0)
+    # light 0 stands 20 m past the entry and turns red at 0.81 s: at the
+    # limit the line is 0.814 s away, and a stop from the limit needs 75 m,
+    # so no advice helps; the driver reaches the line inside the step that
+    # starts on green
+    c = make_corridor(0.81, 8.991, spacing_m=250.0, entry_buffer_m=20.0, exit_buffer_m=200.0)
     traj = simulate_advised_driver(c, VehicleParams(), IDEAL_DRIVER)
     sig = c.signals[0]
     j = _pin_index(traj, c.stop_lines_m[0])
     assert phase_at(sig, traj.t[j - 1]) is Phase.GREEN
     assert traj.emergency_stop
+    assert check_safety(traj, c, RULES) == []
+
+
+def test_ideal_driver_reaches_the_line_before_the_red_onset():
+    # light 0 turns red at 5.046 s; the advice paces the approach to
+    # ONSET_MARGIN_S before that, so an exact follower crosses on green
+    c = make_corridor(5.046, 8.991, spacing_m=250.0, exit_buffer_m=200.0)
+    traj = simulate_advised_driver(c, VehicleParams(), IDEAL_DRIVER)
+    assert not traj.emergency_stop
     assert check_safety(traj, c, RULES) == []
 
 

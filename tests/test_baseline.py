@@ -88,8 +88,6 @@ def test_not_crossing_when_green_starts_after_the_crossing_instant():
 
 def test_invalid_rules_rejected():
     with pytest.raises(ValueError):
-        RegularDriverRules(sight_distance_m=0.0)
-    with pytest.raises(ValueError):
         RegularDriverRules(decel_min_m_s2=1.0)
     with pytest.raises(ValueError):
-        RegularDriverRules(timestep_s=0.0)
+        RegularDriverRules(accel_max_m_s2=0.0)

@@ -83,6 +83,25 @@ def test_unknown_nested_key_rejected(tmp_path):
     ({"driver": {"ideal": False, "reaction_delay_s": 3}}, "driver.ideal"),
     # a cruise floor at or above the corridor's limit
     ({"advisory": {"min_cruise_m_s": 30.0}}, "min_cruise_m_s"),
+    # settings that are module constants now, each at the value it had
+    ({"vehicle": {"rolling_c1": 0.0065}}, "rolling_c1"),
+    ({"vehicle": {"rolling_c2": 4.92e-5}}, "rolling_c2"),
+    ({"vehicle": {"frontal_area_m2": 2.22}}, "frontal_area_m2"),
+    ({"vehicle": {"drag_coeff": 0.23}}, "drag_coeff"),
+    ({"vehicle": {"air_density_kg_m3": 1.2}}, "air_density_kg_m3"),
+    ({"vehicle": {"gravity_m_s2": 9.81}}, "gravity_m_s2"),
+    ({"vehicle": {"eff_trans": 0.8536}}, "eff_trans"),
+    ({"vehicle": {"eff_motor": 0.90}}, "eff_motor"),
+    ({"vehicle": {"eff_inverter": 0.95}}, "eff_inverter"),
+    ({"vehicle": {"regen_power_cap_w": 60e3}}, "regen_power_cap_w"),
+    ({"battery": {"nominal_voltage_v": 350.0}}, "nominal_voltage_v"),
+    ({"battery": {"temperature_k": 298.15}}, "temperature_k"),
+    ({"battery": {"gas_constant": 8.3144}}, "gas_constant"),
+    ({"driver_rules": {"sight_distance_m": 75.0}}, "sight_distance_m"),
+    ({"driver_rules": {"timestep_s": 0.1}}, "timestep_s"),
+    ({"grid": {"boundary_band_m_s": 1.0}}, "boundary_band_m_s"),
+    ({"driver": {"drift_below_m_s": 10.0}}, "drift_below_m_s"),
+    ({"advisory": {"lookahead_lights": 2}}, "lookahead_lights"),
 ])
 def test_shadowed_and_deleted_keys_exit_2(tmp_path, capsys, block, key):
     path = write_cfg(tmp_path, block)
@@ -99,7 +118,7 @@ def test_shadowed_and_deleted_keys_exit_2(tmp_path, capsys, block, key):
     # a boolean used to load as the number 1, a string as itself
     ({"battery": {"decay_multiplier": True}}, "battery.decay_multiplier"),
     ({"grid": {"time_step_s": "0.25"}}, "grid.time_step_s"),
-    ({"advisory": {"lookahead_lights": False}}, "advisory.lookahead_lights"),
+    ({"advisory": {"update_rate_hz": False}}, "advisory.update_rate_hz"),
     ({"vehicle": {"regen_enabled": "no"}}, "vehicle.regen_enabled"),
 ])
 def test_wrong_json_types_exit_2(tmp_path, capsys, block, key):
@@ -126,8 +145,6 @@ def _nudged(default):
     """A valid value that differs from a field's default."""
     if isinstance(default, bool):
         return not default
-    if isinstance(default, int):
-        return default - 1
     return 0.9 * default if default else 0.05
 
 
@@ -159,6 +176,34 @@ def _accepted_keys(tmp_path) -> dict[str, object]:
             if f"{block}.{f.name}" not in OWNED_KEYS:
                 keys[f"{block}.{f.name}"] = _nudged(getattr(default, f.name))
     return keys
+
+
+# every key load_config accepts; adding or withdrawing one is a decision
+# that this list records
+ACCEPTED_KEYS = {
+    "corridor.entry_buffer_m", "corridor.exit_buffer_m", "corridor.spacing_m",
+    "corridor.speed_limit_kmh", "corridor.signals.time_to_red_first_s",
+    "corridor.signals.time_to_red_second_s", "corridor.signals.red_s",
+    "corridor.signals.green_s",
+    "vehicle.variant", "vehicle.regen_enabled",
+    "battery.coefficients_csv", "battery.eol_capacity_loss", "battery.power_z",
+    "battery.reference_capacity_kwh", "battery.decay_multiplier",
+    "battery.pack_price_per_kwh",
+    "prices.electricity_usd_per_kwh",
+    "driver_rules.accel_max_m_s2", "driver_rules.decel_min_m_s2",
+    "grid.distance_step_m", "grid.speed_step_m_s", "grid.time_step_s",
+    "grid.boundary_time_step_s", "grid.time_buffer_frac", "grid.accel_max_m_s2",
+    "grid.decel_min_m_s2", "grid.signal_margin_s",
+    "advisory.update_rate_hz", "advisory.min_cruise_m_s", "advisory.accel_m_s2",
+    "driver.ideal", "driver.reaction_delay_s", "driver.speed_tracking_time_constant_s",
+    "driver.low_speed_drift_m_s",
+    "sweep.timings_s", "sweep.spacings_m",
+}
+
+
+def test_accepted_keys_are_pinned(tmp_path):
+    assert len(ACCEPTED_KEYS) == 36
+    assert set(_accepted_keys(tmp_path)) == ACCEPTED_KEYS
 
 
 def _resolved(cfg):

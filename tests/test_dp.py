@@ -1,4 +1,5 @@
 """Optimizer tests: feasibility, determinism and enumeration agreement."""
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,13 @@ from ecocorridor import dp
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.config import load_config, override_cell
-from ecocorridor.corridor import Corridor, Phase, SignalSchedule, make_corridor, phase_at
+from ecocorridor.corridor import (
+    Corridor, Phase, SignalSchedule, green_at, make_corridor, phase_at,
+)
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.forward import forward_pass, tie_eps
-from ecocorridor.oracle import random_tiny_instance, run_oracle_suite
+from ecocorridor.oracle import random_tiny_instance, run_oracle_suite, verify_against_enumeration
 from ecocorridor.powertrain import VehicleParams
 from ecocorridor.study import VEHICLE_VARIANTS
 from ecocorridor.trajectory import check_safety
@@ -181,6 +184,61 @@ def test_enumeration_catches_planted_solver_defects(monkeypatch, plant):
         _forget_lattices()
     assert report.cases == 12
     assert report.failures > 0
+
+
+def _binding_tiny_instance(rng):
+    """A tiny instance that binds the rules `random_tiny_instance` never
+    binds: a departure margin of 0.5-1.5 s, and a 16 or 20 m/s limit in four
+    speed steps over 50 m, so that arcs reach and pass the acceleration
+    bounds. The corridor's geometry and signals come from a
+    `random_tiny_instance` draw, with the budget rescaled to the new limit."""
+    c, g, budget = random_tiny_instance(rng)
+    limit = float(rng.choice([16.0, 20.0]))
+    budget *= c.speed_limit_m_s / limit
+    g = replace(g, speed_step_m_s=limit / 4.0,
+                signal_margin_s=float(rng.choice([0.5, 1.0, 1.5])))
+    return replace(c, speed_limit_m_s=limit), g, budget
+
+
+def _binding_mismatches(seed: int, cases: int = 100) -> int:
+    rng = np.random.default_rng(seed)
+    vp, bat = VehicleParams(), BatteryModel()
+    mismatches = 0
+    for _ in range(cases):
+        c, g, budget = _binding_tiny_instance(rng)
+        mismatches += not verify_against_enumeration(c, vp, bat, g, budget_s=budget)["agree"]
+    return mismatches
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matches_enumeration_where_margin_and_acceleration_bind(seed):
+    assert _binding_mismatches(seed) == 0
+
+
+def _gate_without_the_margin(monkeypatch):
+    def green_states(self, node):
+        sig_idx = self.stop_nodes.get(node)
+        if sig_idx is None:
+            return None
+        return green_at(self.corridor.signals[sig_idx], self.state_bin * self.dt[self.state_speed])
+    monkeypatch.setattr(dp.DpContext, "green_states", green_states)
+
+
+def _acceleration_bound_looser(monkeypatch):
+    lattice = dp.Lattice
+    monkeypatch.setattr(dp, "_lattice", lambda grid, *rest: lattice(
+        replace(grid, accel_max_m_s2=grid.accel_max_m_s2 + 1.0), *rest))
+
+
+@pytest.mark.parametrize("plant", [_gate_without_the_margin, _acceleration_bound_looser])
+def test_binding_instances_catch_planted_solver_defects(monkeypatch, plant):
+    # `verify --cases 50 --seed 0` agrees with either defect planted
+    plant(monkeypatch)
+    try:
+        assert _binding_mismatches(0) > 0
+    finally:
+        monkeypatch.undo()
+        _forget_lattices()
 
 
 def _green_bins(ctx, node):
