@@ -97,7 +97,7 @@ def c_rate(p_batt_w: float, b: BatteryModel) -> float:
     return abs(p_batt_w) / (b.capacity_kwh * 1000.0)
 
 
-def current(p_batt_w: float, b: BatteryModel) -> float:
+def current(p_batt_w: float) -> float:
     """Signed pack current (A) at nominal voltage."""
     return p_batt_w / NOMINAL_VOLTAGE_V
 
@@ -137,7 +137,7 @@ def soh_decay_rate(p_batt_w: float, b: BatteryModel) -> float:
     (signed both ways) to twice the lifetime Ah throughput."""
     if p_batt_w == 0.0:
         return 0.0
-    i_abs = abs(current(p_batt_w, b))
+    i_abs = abs(current(p_batt_w))
     a_total = lifetime_ah_throughput(c_rate(p_batt_w, b), b)
     return -b.decay_multiplier * i_abs / (2.0 * a_total) / 3600.0
 

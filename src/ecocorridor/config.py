@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any
 
 from .advisory import AdvisoryConfig, DriverFollowingModel, IDEAL_DRIVER
 from .baseline import RegularDriverRules
@@ -33,20 +32,38 @@ class ConfigError(ValueError):
     """Raised when a configuration file is malformed or inconsistent."""
 
 
-def _build(cls, block: dict, name: str, **extra):
-    """Construct a dataclass from a JSON block, rejecting unknown keys and
-    values of the wrong JSON type for a number or a flag."""
-    allowed = {f.name: f.type for f in fields(cls)}
+def _block(raw: dict, name: str, allowed) -> dict:
+    """A copy of the block ``name`` (a dotted path; its last part is its key
+    in ``raw``). It must be a JSON object whose keys are all ``allowed`` and
+    none of them set by another key (``OWNED_KEYS``)."""
+    block = raw.get(name.rsplit(".", 1)[-1], {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {block!r}")
+    for key in block:
+        owner = OWNED_KEYS.get(f"{name}.{key}")
+        if owner:
+            raise ConfigError(f"'{name}.{key}' cannot be set: '{owner}' sets it")
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in '{name}' block: {sorted(unknown)}")
+    return dict(block)
+
+
+def _keys(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _build(cls, block: dict, name: str):
+    """Construct a dataclass from a block that `_block` has read, rejecting
+    values of the wrong JSON type for a number or a flag."""
+    types = {f.name: f.type for f in fields(cls)}
     for key, value in block.items():
-        if allowed[key] == "float":
+        if types[key] == "float":
             _number(value, f"{name}.{key}")
-        elif allowed[key] == "bool":
+        elif types[key] == "bool":
             _flag(value, f"{name}.{key}")
     try:
-        return cls(**{**block, **extra})
+        return cls(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{name}' block: {exc}") from exc
 
@@ -88,103 +105,73 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _parse(raw: dict, base_dir: Path) -> RunConfig:
-    for key, owner in OWNED_KEYS.items():
-        block, leaf = key.split(".")
-        if leaf in raw.get(block, {}):
-            raise ConfigError(f"'{key}' cannot be set: '{owner}' sets it")
-    corridor = dict(raw.get("corridor", {}))
-    signals = corridor.pop("signals", {})
-    if not isinstance(signals, dict):
-        raise ConfigError("'corridor.signals' must be an object")
-    limit_kmh = corridor.pop("speed_limit_kmh", None)
-    geo: dict[str, Any] = {}
-    for key in ("entry_buffer_m", "exit_buffer_m", "spacing_m"):
-        if key in corridor:
-            geo[key] = _number(corridor.pop(key), f"corridor.{key}")
-    if corridor:
-        raise ConfigError(f"unknown keys in 'corridor' block: {sorted(corridor)}")
+    corridor = _block(raw, "corridor", {
+        "entry_buffer_m", "exit_buffer_m", "spacing_m", "speed_limit_kmh", "signals",
+    })
+    signals = _block(corridor, "corridor.signals", {
+        "time_to_red_first_s", "time_to_red_second_s", "red_s", "green_s",
+    })
+    corridor.pop("signals", None)
+    # every corridor and signal key is a ScenarioSpec field, save the limit in km/h
+    numbers = {k: _number(v, f"corridor.{k}") for k, v in corridor.items()}
+    numbers |= {k: _number(v, f"corridor.signals.{k}") for k, v in signals.items()}
+    if "speed_limit_kmh" in numbers:
+        numbers["speed_limit_m_s"] = numbers.pop("speed_limit_kmh") * KMH_TO_M_S
 
-    sig_known = {"time_to_red_first_s", "time_to_red_second_s", "red_s", "green_s"}
-    unknown = set(signals) - sig_known
-    if unknown:
-        raise ConfigError(f"unknown keys in 'corridor.signals': {sorted(unknown)}")
-    timing: dict[str, Any] = {
-        k: _number(v, f"corridor.signals.{k}") for k, v in signals.items()
-    }
-
-    vehicle_block = dict(raw.get("vehicle", {}))
-    variant = vehicle_block.pop("variant", "standard")
-    if variant not in VEHICLE_VARIANTS:
+    block = _block(raw, "vehicle", _keys(VehicleParams) | {"variant"})
+    variant = block.pop("variant", "standard")
+    if not isinstance(variant, str) or variant not in VEHICLE_VARIANTS:
         raise ConfigError(
-            f"unknown vehicle variant {variant!r}; "
-            f"choose from {sorted(VEHICLE_VARIANTS)}"
+            f"'vehicle.variant' must be one of {sorted(VEHICLE_VARIANTS)}, got {variant!r}"
         )
-    vehicle = _build(VehicleParams, vehicle_block, "vehicle")
+    vehicle = _build(VehicleParams, block, "vehicle")
 
-    battery_block = dict(raw.get("battery", {}))
-    coeff_path = battery_block.pop("coefficients_csv", None)
-    if coeff_path is not None:
-        csv = Path(coeff_path)
-        if not csv.is_absolute():
-            csv = base_dir / csv
+    block = _block(raw, "battery", _keys(BatteryModel) | {"coefficients_csv"})
+    if "coefficients_csv" in block:
+        csv = block.pop("coefficients_csv")
+        if not isinstance(csv, str):
+            raise ConfigError(f"'battery.coefficients_csv' must be a path string, got {csv!r}")
+        csv = base_dir / csv  # an absolute path replaces base_dir
         try:
-            battery_block["coeff_table"] = load_coefficient_table(csv)
+            block["coeff_table"] = load_coefficient_table(csv)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad coefficient table {csv}: {exc}") from exc
-    battery = _build(BatteryModel, battery_block, "battery")
+    battery = _build(BatteryModel, block, "battery")
 
-    prices = _build(Prices, dict(raw.get("prices", {})), "prices")
-    rules = _build(RegularDriverRules, dict(raw.get("driver_rules", {})), "driver_rules")
-    grid = _build(DpGridSpec, dict(raw.get("grid", {})), "grid")
-    driver_block = dict(raw.get("driver", {}))
-    if "ideal" in driver_block and len(driver_block) > 1:
+    prices, rules, grid, advisory = (
+        _build(cls, _block(raw, name, _keys(cls)), name) for cls, name in (
+            (Prices, "prices"), (RegularDriverRules, "driver_rules"),
+            (DpGridSpec, "grid"), (AdvisoryConfig, "advisory"),
+        )
+    )
+    block = _block(raw, "driver", _keys(DriverFollowingModel) | {"ideal"})
+    if "ideal" in block and len(block) > 1:
         raise ConfigError("'driver.ideal' sets every driver setting; drop the other 'driver' keys")
-    ideal = _flag(driver_block.pop("ideal", False), "driver.ideal")
-    driver = IDEAL_DRIVER if ideal else _build(
-        DriverFollowingModel, driver_block, "driver"
-    )
-    advisory = _build(AdvisoryConfig, dict(raw.get("advisory", {})), "advisory")
+    ideal = _flag(block.pop("ideal", False), "driver.ideal")
+    driver = IDEAL_DRIVER if ideal else _build(DriverFollowingModel, block, "driver")
 
-    base_kwargs: dict[str, Any] = dict(
-        time_to_red_first_s=timing.get("time_to_red_first_s", 0.0),
-        time_to_red_second_s=timing.get("time_to_red_second_s", 0.0),
-        variant=variant,
-        vehicle=vehicle,
-        battery=battery,
-        prices=prices,
-        rules=rules,
-        grid=grid,
-        **geo,
-    )
-    if "red_s" in timing:
-        base_kwargs["red_s"] = timing["red_s"]
-    if "green_s" in timing:
-        base_kwargs["green_s"] = timing["green_s"]
-    if limit_kmh is not None:
-        base_kwargs["speed_limit_m_s"] = _number(
-            limit_kmh, "corridor.speed_limit_kmh"
-        ) * KMH_TO_M_S
     try:
-        base = ScenarioSpec(**base_kwargs)
+        base = ScenarioSpec(
+            **numbers, variant=variant, vehicle=vehicle, battery=battery,
+            prices=prices, rules=rules, grid=grid,
+        )
         base.corridor()  # validate geometry eagerly
         advisory.check_limit(base.speed_limit_m_s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    sweep_block = dict(raw.get("sweep", {}))
-    unknown = set(sweep_block) - {"timings_s", "spacings_m"}
-    if unknown:
-        raise ConfigError(f"unknown keys in 'sweep' block: {sorted(unknown)}")
-    timings = tuple(
-        _number(x, "sweep.timings_s") for x in sweep_block.get("timings_s", DEFAULT_TIMINGS_S)
-    )
-    spacings = tuple(
-        _number(x, "sweep.spacings_m") for x in sweep_block.get("spacings_m", DEFAULT_SPACINGS_M)
-    )
-    if not timings or not spacings:
-        raise ConfigError("sweep lists must be non-empty")
-
+    sweep = _block(raw, "sweep", {"timings_s", "spacings_m"})
+    timings = _numbers(sweep, "sweep.timings_s", DEFAULT_TIMINGS_S)
+    spacings = _numbers(sweep, "sweep.spacings_m", DEFAULT_SPACINGS_M)
     return RunConfig(base, timings, spacings, advisory, driver)
+
+
+def _numbers(block: dict, name: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    """The list ``name`` of ``block``, which must be a non-empty list of numbers."""
+    values = block.get(name.rsplit(".", 1)[-1], list(default))
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"'{name}' must be a non-empty list of numbers, got {values!r}")
+    return tuple(_number(x, name) for x in values)
 
 
 def _number(value, name: str) -> float:

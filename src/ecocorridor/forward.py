@@ -230,7 +230,7 @@ def _reached_bins(ctx: DpContext, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(count > 0, bins[end - count], _NO_BIN), np.where(count > 0, bins[end - 1], -1)
 
 
-def _window(ctx: DpContext, first: np.ndarray, last: np.ndarray, stage: int,
+def _window(first: np.ndarray, last: np.ndarray, stage: int,
             latest: np.ndarray, pairs: Pairs, by_dest: _Runs) -> tuple[np.ndarray, np.ndarray]:
     """Per destination speed, the bins ``[lo, hi]`` this stage can set.
 
@@ -379,7 +379,7 @@ def forward_pass(ctx: DpContext) -> ForwardPass:
             run = _run(vals)
         departures.append(run)
         plan_k = plans[k % 2]
-        lo[k + 1], hi = _window(ctx, first, last, k, latest[k + 1], pairs, by_dest)
+        lo[k + 1], hi = _window(first, last, k, latest[k + 1], pairs, by_dest)
         vals, run, n, c = _relax(ctx, plan_k, vals, cost, lo[k + 1], hi)
         candidates += int(plan_k.starts[ctx.n_states])
         relaxed += n

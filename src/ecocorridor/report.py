@@ -128,7 +128,7 @@ def _polyline(xs, ys, color: str) -> str:
     )
 
 
-def _panel(ox, oy, title, xlabel, ylabel, series, extra=""):
+def _panel(ox, oy, title, xlabel, ylabel, series):
     """One axes panel: series is a list of (xs, ys, color, label)."""
     x_all = [x for xs, *_ in series for x in xs]
     y_all = [y for _, ys, *_ in series for y in ys]
@@ -159,13 +159,6 @@ def _panel(ox, oy, title, xlabel, ylabel, series, extra=""):
         f'<text x="{left - 4:.1f}" y="{top + 8:.1f}" font-size="10" '
         f'text-anchor="end">{y_hi:.3g}</text>',
     ]
-    if extra:
-        parts.append(
-            f'<clipPath id="clip{ox:.0f}_{oy:.0f}"><rect x="{left:.1f}" '
-            f'y="{top:.1f}" width="{right - left:.1f}" '
-            f'height="{bottom - top:.1f}"/></clipPath>'
-        )
-        parts.append(f'<g clip-path="url(#clip{ox:.0f}_{oy:.0f})">{extra}</g>')
     for k, (xs, ys, color, label) in enumerate(series):
         sx = _scale(xs, x_lo, x_hi, left, right)
         sy = _scale(ys, y_lo, y_hi, bottom, top)

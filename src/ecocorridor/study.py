@@ -27,8 +27,8 @@ DEFAULT_SPACINGS_M = (200.0, 400.0, 600.0, 800.0)
 class ScenarioSpec:
     """One sweep cell: corridor timing/geometry plus vehicle and pricing."""
 
-    time_to_red_first_s: float
-    time_to_red_second_s: float
+    time_to_red_first_s: float = 0.0
+    time_to_red_second_s: float = 0.0
     spacing_m: float = 400.0
     entry_buffer_m: float = 100.0
     exit_buffer_m: float = 100.0

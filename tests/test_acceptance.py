@@ -27,7 +27,7 @@ from ecocorridor.study import (
     run_scenario,
     sweep,
 )
-from ecocorridor.trajectory import check_safety, from_samples
+from ecocorridor.trajectory import audit_arc_clock, check_safety, from_samples
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -321,3 +321,18 @@ def test_criterion_10_determinism(paper_cfg, tmp_path):
 def test_paper_sweep_table_is_pinned(main_sweep, tmp_path):
     data = write_sweep_csv(main_sweep, tmp_path / "table2.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PAPER_TABLE2_SHA256
+
+
+def test_arc_clock_audit_is_pinned(main_sweep):
+    # The arc-clock audit as `ecocorridor sweep` prints it, and as README and
+    # ROADMAP quote it. ROADMAP item 1 (eco plans on a physical clock) moves
+    # these numbers on purpose, as it does PAPER_TABLE2_SHA256, and must say so.
+    audits = [
+        audit_arc_clock(r.eco, r.spec.corridor(), r.spec.grid, r.budget_s)
+        for r in (cell.result for cell in main_sweep.cells)
+    ]
+    red = sum(any("on red" in m for m in a.violations) for a in audits)
+    late = sum(a.late_s > 0.0 for a in audits)
+    assert (red, late, len(audits)) == (14, 34, 64)
+    assert f"{max(a.late_s for a in audits):+.2f}" == "+9.55"
+    assert f"{max(a.drift_s for a in audits):.2f}" == "9.90"

@@ -20,7 +20,7 @@ def test_c_rate_and_current():
     b = BatteryModel()
     assert c_rate(54000.0, b) == pytest.approx(1.0)
     assert c_rate(-27000.0, b) == pytest.approx(0.5)
-    assert current(35000.0, b) == pytest.approx(100.0)
+    assert current(35000.0) == pytest.approx(100.0)
 
 
 def test_throughput_power_law_ratio():

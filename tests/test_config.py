@@ -120,6 +120,16 @@ def test_shadowed_and_deleted_keys_exit_2(tmp_path, capsys, block, key):
     ({"grid": {"time_step_s": "0.25"}}, "grid.time_step_s"),
     ({"advisory": {"update_rate_hz": False}}, "advisory.update_rate_hz"),
     ({"vehicle": {"regen_enabled": "no"}}, "vehicle.regen_enabled"),
+    # a block that is not an object, a sweep list that is not a list, and a
+    # name or a path of the wrong type used to end in a traceback; an empty
+    # corridor list used to load as the default corridor
+    ({"vehicle": 5}, "vehicle"),
+    ({"grid": [1]}, "grid"),
+    ({"driver": "ideal"}, "driver"),
+    ({"corridor": []}, "corridor"),
+    ({"sweep": {"timings_s": 5}}, "sweep.timings_s"),
+    ({"vehicle": {"variant": ["x"]}}, "vehicle.variant"),
+    ({"battery": {"coefficients_csv": 5}}, "battery.coefficients_csv"),
 ])
 def test_wrong_json_types_exit_2(tmp_path, capsys, block, key):
     path = write_cfg(tmp_path, block)

@@ -15,7 +15,9 @@ from ecocorridor.corridor import (
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.forward import forward_pass, tie_eps
-from ecocorridor.oracle import random_tiny_instance, run_oracle_suite, verify_against_enumeration
+from ecocorridor.oracle import (
+    _arcs, random_tiny_instance, run_oracle_suite, verify_against_enumeration,
+)
 from ecocorridor.powertrain import VehicleParams
 from ecocorridor.study import VEHICLE_VARIANTS
 from ecocorridor.trajectory import check_safety
@@ -239,6 +241,27 @@ def test_binding_instances_catch_planted_solver_defects(monkeypatch, plant):
     finally:
         monkeypatch.undo()
         _forget_lattices()
+
+
+@pytest.mark.parametrize("limit, reachable", [
+    (24.0, {18.0, 24.0}),  # not 12 m/s: -4.32 m/s²
+    (20.0, {0.0, 5.0, 10.0, 15.0, 20.0}),  # 20 -> 0 m/s is -4.0 m/s² exactly
+])
+def test_both_arc_rules_bind_the_deceleration_bound(limit, reachable):
+    # neither tiny-instance draw brakes harder than the bound, so the rule is
+    # checked here directly: the speeds the top speed reaches over one 50 m
+    # step with four speed steps, for the oracle and for the solver
+    signals = (SignalSchedule(0.0, 10.0, 10.0),) * 2
+    c = Corridor(entry_buffer_m=100.0, light_spacing_m=100.0, exit_buffer_m=100.0,
+                 speed_limit_m_s=limit, signals=signals)
+    g = DpGridSpec(distance_step_m=50.0, speed_step_m_s=limit / 4.0, time_step_s=1.0,
+                   boundary_time_step_s=1.0, signal_margin_s=0.0)
+    assert g.decel_min_m_s2 == -4.0
+    ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), 60.0)
+    by_oracle = {float(ctx.speeds[j]) for _, j, _, _ in _arcs(ctx, 0, ctx.top, 0)}
+    by_solver = {float(ctx.speeds[j]) for j in np.flatnonzero(np.isfinite(ctx.lattice.cost[ctx.top]))}
+    assert by_oracle == reachable
+    assert by_solver == reachable
 
 
 def _green_bins(ctx, node):

@@ -1,5 +1,6 @@
-"""Every import in the package, the tests and the demos is used: a scan of
-each module's syntax tree for imported names that nothing reads."""
+"""Every import in the package, the tests and the demos is used, and every
+parameter of a package function is read, save the listed exceptions: scans
+of each module's syntax tree for names that nothing reads."""
 import ast
 from pathlib import Path
 
@@ -62,3 +63,53 @@ def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import math\nfrom os import path as p, sep\n"
                      "def f(x: 'sep') -> None:\n    return p\n")
     assert set(_imported(tree)) - _read(tree) == {"math"}
+
+
+# parameters that a function does not read, each with the reason it stays;
+# the three that perfbench/ passes go with a change to the benchmark
+UNREAD_PARAMETERS = {
+    "baseline.simulate_regular.policy: t": "the `_drive` callback signature",
+    "baseline.simulate_regular.policy: x": "the `_drive` callback signature",
+    "baseline.simulate_regular: v": "perfbench/ passes it positionally",
+    "advisory.simulate_advised_driver: v": "perfbench/ passes it positionally",
+    "dp.DpContext.pair_sources: stage": "perfbench/ passes it positionally",
+}
+
+
+def _unread_parameters(tree: ast.Module, module: str) -> list[str]:
+    """Each parameter, other than ``self`` and ``cls``, that its function's
+    body (nested functions included) never reads, as ``function: name``."""
+    unread = []
+
+    def visit(node: ast.AST, qualname: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{qualname}.{child.name}"
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                unread.extend(f"{name}: {p}" for p in params
+                              if p not in read and p not in ("self", "cls"))
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{qualname}.{child.name}")
+            else:
+                visit(child, qualname)
+
+    visit(tree, module)
+    return unread
+
+
+def test_no_unread_parameter():
+    unread = []
+    for path in sorted((ROOT / "src/ecocorridor").glob("*.py")):
+        unread += _unread_parameters(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def test_the_scan_finds_an_unread_parameter():
+    tree = ast.parse("class C:\n    def f(self, a, b, *c, d, **e):\n"
+                     "        def g(h):\n            return a + d\n        return g(e)\n")
+    assert _unread_parameters(tree, "m") == ["m.C.f: b", "m.C.f: c", "m.C.f.g: h"]
