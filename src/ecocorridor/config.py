@@ -167,11 +167,15 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
 
 
 def _numbers(block: dict, name: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    """The list ``name`` of ``block``, which must be a non-empty list of numbers."""
+    """The list ``name`` of ``block``, which must be a non-empty list of
+    distinct numbers: a repeated value would name the same sweep cell twice."""
     values = block.get(name.rsplit(".", 1)[-1], list(default))
     if not isinstance(values, list) or not values:
         raise ConfigError(f"'{name}' must be a non-empty list of numbers, got {values!r}")
-    return tuple(_number(x, name) for x in values)
+    numbers = tuple(_number(x, name) for x in values)
+    if len(set(numbers)) < len(numbers):
+        raise ConfigError(f"'{name}' repeats a value: {values!r}")
+    return numbers
 
 
 def _number(value, name: str) -> float:

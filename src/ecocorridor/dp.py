@@ -110,38 +110,48 @@ class Lattice:
         self.sources = np.split(i, np.cumsum(np.bincount(j, minlength=n))[:-1])
         self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), vehicle, battery, prices)
         self.allowed_s = -np.inf
+        self.n_t = np.full(n, -1)  # below any count: nothing is numbered yet
         self._plans: tuple | None = None
 
     def cover(self, allowed_s: float) -> None:
-        """Number the states whose bins start by ``allowed_s``, if the
-        numbering does not reach that far yet. Renumbering drops the plans;
-        the states of a shorter time keep their numbers (``time_order``)."""
+        """Number the states whose bins start by ``allowed_s``. Only a time
+        that gives some speed another bin renumbers, and the states of a
+        shorter time keep their numbers (``time_order``), so the plans stay
+        valid over them; ``plans`` appends the groups of the new states."""
         if allowed_s > self.allowed_s:
             self.allowed_s = allowed_s
-            self.n_t = bins_within(self.dt, allowed_s)
-            # speed-major index: bin tb of speed j is offsets[j] + tb
-            self.offsets = np.concatenate(([0], np.cumsum(self.n_t)))
-            self.state_speed, self.state_bin, self.state_at = time_order(self.dt, self.n_t)
-            self._plans = None
+            n_t = bins_within(self.dt, allowed_s)
+            if (n_t > self.n_t).any():
+                self.n_t = n_t
+                # speed-major index: bin tb of speed j is offsets[j] + tb
+                self.offsets = np.concatenate(([0], np.cumsum(n_t)))
+                self.state_speed, self.state_bin, self.state_at = time_order(self.dt, n_t)
 
     def plans(self) -> tuple:
-        """Both stage parities' plans over the numbered states, built on
-        first use. A solve reads only the groups of its budget's states, the
-        same in any plans that cover them. Building them drops the plans of
-        the lattice that held them, so one lattice holds plans at a time."""
+        """Both stage parities' plans over the numbered states. The first
+        call builds them; a call after ``cover`` numbered more states builds
+        only the groups of the new states and appends them. That is exact:
+        every arc lands in a later bin than it leaves, so an old state's
+        group holds only old sources. A solve reads only the groups of its
+        budget's states. Building plans drops the plans of the lattice that
+        held them, so one lattice holds plans at a time."""
         if self._plans is None:
             if _planned:
                 _planned.pop()._plans = None
-            self._plans = tuple(build_plan(self, parity) for parity in (0, 1))
+            self._plans = tuple(build_plan(self, parity, 0) for parity in (0, 1))
             _planned.append(self)
+        held = len(self._plans[0].filled)
+        if held < len(self.state_at):
+            self._plans = tuple(plan.grown(build_plan(self, parity, held))
+                                for parity, plan in enumerate(self._plans))
         return self._plans
 
 
 # the one lattice that holds plans
 _planned: list[Lattice] = []
 # The lattice of a key. Keeping two lets a study that alternates between two
-# grids (a retry on a finer one) rebuild the plans of each at the longest
-# time it has needed, not once per longer budget.
+# grids (a retry on a finer one) keep the numbering and priced arcs of each,
+# and rebuild the plans of each at the longest time it has needed.
 _lattice = functools.lru_cache(maxsize=2)(Lattice)
 
 

@@ -155,11 +155,20 @@ class _Plan(NamedTuple):
     starts: np.ndarray
     filled: np.ndarray
 
+    def grown(self, tail: "_Plan") -> "_Plan":
+        """This plan followed by ``tail``, the groups of the states after
+        this plan's last."""
+        return _Plan(np.concatenate((self.src, tail.src)),
+                     np.concatenate((self.pair, tail.pair)),
+                     np.concatenate((self.starts[:-1], tail.starts + self.starts[-1])),
+                     np.concatenate((self.filled, tail.filled)))
 
-def build_plan(lat: Lattice, stage: int) -> _Plan:
-    """The plan of a stage parity over the lattice's numbered states. It is
-    built a run of destination states at a time, each run holding at most
-    two chunks of candidates."""
+
+def build_plan(lat: Lattice, stage: int, start: int) -> _Plan:
+    """The groups of a stage parity's plan from state ``start`` to the
+    lattice's last numbered state, as a plan whose group 0 lands on state
+    ``start``. It is built a run of destination states at a time, each run
+    holding at most two chunks of candidates."""
     eps = tie_eps(stage)
     pairs, offsets, at = lat.pairs, lat.offsets, lat.state_at
     n_i = lat.n_t[pairs.i]
@@ -171,11 +180,13 @@ def build_plan(lat: Lattice, stage: int) -> _Plan:
         return pairs.last_bins(np.array(bins)[pairs.j] - 1, eps, n_i) + 1
 
     total = landing_before(n)
-    src = np.empty(total.sum(), dtype=np.int32)
-    pair = np.empty(total.sum(), dtype=np.min_scalar_type(lat.n_v * lat.n_v))
-    sizes = np.zeros(n, dtype=np.int64)
-    step = max(1, n * _CHUNK // max(1, int(total.sum())))
-    a, low, held = 0, np.zeros_like(total), 0
+    low = landing_before(start) if start else np.zeros_like(total)
+    count = int((total - low).sum())
+    src = np.empty(count, dtype=np.int32)
+    pair = np.empty(count, dtype=np.min_scalar_type(lat.n_v * lat.n_v))
+    sizes = np.zeros(n - start, dtype=np.int64)
+    step = max(1, (n - start) * _CHUNK // max(1, count))
+    a, held = start, 0
     while a < n:
         b = min(n, a + step)
         high = total if b == n else landing_before(b)
@@ -192,7 +203,7 @@ def build_plan(lat: Lattice, stage: int) -> _Plan:
         order = np.argsort(dest.astype(np.min_scalar_type(b - a)), kind="stable")
         src[held:held + len(order)] = at[offsets[arcs.i] + tb][order]
         pair[held:held + len(order)] = (arcs.i * lat.n_v + arcs.j)[order]
-        sizes[a:b] = np.bincount(dest, minlength=b - a)
+        sizes[a - start:b - start] = np.bincount(dest, minlength=b - a)
         held += len(order)
         a, low = b, high
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(np.int32)

@@ -121,7 +121,9 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 
 
 def _polyline(xs, ys, color: str) -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    xy = [0.0] * (2 * len(xs))
+    xy[::2], xy[1::2] = xs, ys
+    pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy)
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
         f'points="{pts}"/>'

@@ -205,13 +205,21 @@ def sweep(
     jobs: int = 1,
 ) -> SweepResult:
     """Run the full timing x spacing matrix; cells are independent and the
-    aggregation order is fixed, so the result is identical for any job count."""
+    aggregation order is fixed, so the result is identical for any job count.
+
+    With ``jobs > 1``, the pool's workers take one cell at a time, the
+    longest corridors first, so that no worker is left with a long cell at
+    the end while the others idle; the cells are returned in spec order."""
     specs = sweep_specs(base, timings_s, spacings_m)
     if jobs > 1:
         import multiprocessing
 
+        order = sorted(range(len(specs)), key=lambda k: specs[k].corridor().length_m,
+                       reverse=True)
+        cells: list = [None] * len(specs)
         with multiprocessing.Pool(jobs) as pool:
-            cells = pool.map(_run_cell, specs)
+            for k, cell in zip(order, pool.imap(_run_cell, [specs[k] for k in order])):
+                cells[k] = cell
     else:
         cells = [_run_cell(s) for s in specs]
     timings = [(float(x), float(y)) for x in timings_s for y in timings_s]

@@ -2,7 +2,6 @@
 one safety check every trajectory through a corridor must pass."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,6 +9,7 @@ import numpy as np
 from .corridor import Corridor, crossing_allowed
 
 CSV_HEADER = ["t_s", "x_m", "v_m_s", "a_m_s2", "p_batt_w", "energy_j_cum", "soh_delta_cum"]
+_CSV_ROW = "%.6f,%.6f,%.6f,%.6f,%.3f,%.3f,%.12e\r\n"
 
 
 class TrajectoryValidationError(ValueError):
@@ -106,15 +106,13 @@ class Trajectory:
         return t0 + w * (t1 - t0)
 
     def to_csv(self, path) -> None:
-        columns = (
-            (self.t, "{:.6f}"), (self.x, "{:.6f}"), (self.v, "{:.6f}"), (self.a, "{:.6f}"),
-            (self.p_batt, "{:.3f}"), (self.energy_cum, "{:.3f}"), (self.soh_delta_cum, "{:.12e}"),
-        )
-        cells = [list(map(fmt.format, col.tolist())) for col, fmt in columns]
+        """One row per sample, with ``\\r\\n`` line ends as a ``csv.writer``
+        writes them; the whole file is one format over the flattened values."""
+        columns = (self.t, self.x, self.v, self.a, self.p_batt, self.energy_cum, self.soh_delta_cum)
+        values = np.column_stack(columns).ravel().tolist()
+        rows = _CSV_ROW * len(self) % tuple(values)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(zip(*cells))
+            fh.write(",".join(CSV_HEADER) + "\r\n" + rows)
 
 
 def check_safety(traj: Trajectory, corridor: Corridor, bounds, budget_s: float | None = None) -> list[str]:

@@ -19,8 +19,9 @@ from ecocorridor.costs import J_PER_KWH
 from ecocorridor.dp import InfeasibleScenarioError
 from ecocorridor.oracle import run_oracle_suite
 from ecocorridor.powertrain import power_demand
-from ecocorridor.report import write_sweep_csv
+from ecocorridor.report import render_reports, write_sweep_csv
 from ecocorridor.study import (
+    SweepResult,
     battery_size_study,
     evaluate_trajectory,
     run_advisory_scenario,
@@ -36,6 +37,16 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # change that moves the paper's numbers on purpose, as ROADMAP item 1 (eco
 # plans on a physical clock) will, updates it and says so.
 PAPER_TABLE2_SHA256 = "53b089666aafd47138046064b1eb8def7d6707d7a688ed302266bdf6ccb30993"
+# sha256 of the files `report.render_reports` writes for the paper cell
+# [15 15]/800, pinned as the table is: the trajectory CSVs and the plot.
+PAPER_CELL_SHA256 = {
+    "trajectories/timing_15_15_s800_eco.csv":
+        "c4937db3f9f608724bc0742fbe63ed02ca2b54aae7f5566f694a9ae9be266159",
+    "trajectories/timing_15_15_s800_regular.csv":
+        "cf4cbd9c42e078e22d3c09f6eb5daf1c323de742a2b0b69bcb9ce3982067a1f7",
+    "plots/timing_15_15_s800.svg":
+        "3680b298d3477e56844ec719351dfcc128a4baa87cb0ad2952aedf381a985d4e",
+}
 
 
 def _report(num: int, name: str, failures: list[str], detail: str = "") -> None:
@@ -321,6 +332,14 @@ def test_criterion_10_determinism(paper_cfg, tmp_path):
 def test_paper_sweep_table_is_pinned(main_sweep, tmp_path):
     data = write_sweep_csv(main_sweep, tmp_path / "table2.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == PAPER_TABLE2_SHA256
+
+
+def test_paper_cell_reports_are_pinned(main_sweep, tmp_path):
+    cell = main_sweep.cell(15.0, 15.0, 800.0)
+    render_reports(SweepResult([cell.timing], [cell.spacing_m], [cell]), tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PAPER_CELL_SHA256}
+    assert digests == PAPER_CELL_SHA256
 
 
 def test_arc_clock_audit_is_pinned(main_sweep):

@@ -139,6 +139,22 @@ def test_wrong_json_types_exit_2(tmp_path, capsys, block, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep_block, key", [
+    # a repeated value used to solve the same cell twice and write its files
+    # over each other, while `sweep` counted both writes
+    ({"timings_s": [0, 0], "spacings_m": [200]}, "sweep.timings_s"),
+    ({"timings_s": [0], "spacings_m": [200, 200.0]}, "sweep.spacings_m"),
+    ({"timings_s": [0.0, -0.0], "spacings_m": [200]}, "sweep.timings_s"),
+])
+def test_repeated_sweep_values_exit_2(tmp_path, capsys, sweep_block, key):
+    path = write_cfg(tmp_path, {"sweep": sweep_block})
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "table2.csv").exists()
+
+
 # config blocks that load_config builds field by field from a dataclass
 DATACLASS_BLOCKS = {
     "vehicle": VehicleParams,

@@ -14,7 +14,7 @@ from ecocorridor.corridor import (
 )
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
-from ecocorridor.forward import forward_pass, tie_eps
+from ecocorridor.forward import bins_within, forward_pass, tie_eps
 from ecocorridor.oracle import (
     _arcs, random_tiny_instance, run_oracle_suite, verify_against_enumeration,
 )
@@ -576,6 +576,57 @@ def test_one_grid_plan_is_kept():
     optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
     assert len(dp._planned) == 1 and dp._planned[0] is not halved
     assert dp._planned[0].allowed_s == budget + g.signal_margin_s
+
+
+def _spy(monkeypatch, name):
+    """The calls of `dp.<name>` from here on, as (arguments, result)."""
+    calls, fn = [], getattr(dp, name)
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dp, name, spy)
+    return calls
+
+
+def test_a_budget_that_adds_no_bin_renumbers_nothing(monkeypatch):
+    c, vp, bat, g, budget = _paper_cell(15.0, 15.0, 800.0)
+    _forget_lattices()
+    first = optimize(c, vp, bat, g, Prices(), budget_s=budget)
+    lat = dp._planned[0]
+    longer = budget + 1e-3
+    assert (bins_within(lat.dt, longer + g.signal_margin_s) == lat.n_t).all()
+    numbered, built = _spy(monkeypatch, "time_order"), _spy(monkeypatch, "build_plan")
+    again = optimize(c, vp, bat, g, Prices(), budget_s=longer)
+    assert numbered == [] and built == []
+    assert lat.allowed_s == longer + g.signal_margin_s
+    assert again.value == first.value
+    assert np.array_equal(again.states, first.states)
+
+
+def test_plans_grow_to_a_cold_build(monkeypatch):
+    # the paper grid's lattice over three budgets, shortest first
+    cells = [_paper_cell(0.0, 0.0, s) for s in (200.0, 400.0, 800.0)]
+    c, vp, bat, g, _ = cells[0]
+    _forget_lattices()
+    built = _spy(monkeypatch, "build_plan")
+    grown, held = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices()), 0
+    for *_, budget in cells:
+        grown.cover(budget + g.signal_margin_s)
+        assert len(grown.state_at) > held
+        built.clear()
+        plans = grown.plans()
+        # only the groups of the newly numbered states are built
+        assert [(args[1:], len(plan.filled)) for args, plan in built] == [
+            ((parity, held), len(grown.state_at) - held) for parity in (0, 1)]
+        held = len(grown.state_at)
+    cold = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices())
+    cold.cover(cells[-1][4] + g.signal_margin_s)
+    for plan, cold_plan in zip(plans, cold.plans()):
+        for name, a, b in zip(plan._fields, plan, cold_plan):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+    _forget_lattices()
 
 
 def test_second_context_prices_no_arc(monkeypatch):

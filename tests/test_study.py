@@ -79,6 +79,16 @@ def test_sweep_job_count_does_not_change_csv(base_spec, small_sweep, tmp_path):
     p1 = write_sweep_csv(small_sweep, tmp_path / "serial.csv")
     p2 = write_sweep_csv(parallel, tmp_path / "parallel.csv")
     assert p1.read_bytes() == p2.read_bytes()
+    # two spacings: the pool takes the longer corridors first, out of spec
+    # order, and the cells must still come back in spec order
+    grid = dict(timings_s=(0.0, 15.0), spacings_m=(200.0, 400.0))
+    serial, parallel = sweep(base_spec, **grid), sweep(base_spec, **grid, jobs=2)
+    specs = study.sweep_specs(base_spec, **grid)
+    assert [(c.timing, c.spacing_m) for c in parallel.cells] == [
+        ((s.time_to_red_first_s, s.time_to_red_second_s), s.spacing_m) for s in specs]
+    p1 = write_sweep_csv(serial, tmp_path / "serial_2x2.csv")
+    p2 = write_sweep_csv(parallel, tmp_path / "parallel_2x2.csv")
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_cell_basename():
