@@ -180,6 +180,7 @@ def build_plan(lat: Lattice, stage: int, start: int) -> _Plan:
         return pairs.last_bins(np.array(bins)[pairs.j] - 1, eps, n_i) + 1
 
     total = landing_before(n)
+    # no arc lands before state 0, so a whole plan skips that search
     low = landing_before(start) if start else np.zeros_like(total)
     count = int((total - low).sum())
     src = np.empty(count, dtype=np.int32)
