@@ -3,17 +3,20 @@
 Generates small corridors and coarse grids where every feasible path can be
 enumerated, then checks that dynamic programming finds exactly the same
 minimum. The enumeration generates each arc once (`_arcs`) from its own
-statement of the solver's arc rules: a wait only at zero speed at a stop
-line, within the budget; a departure from a stop line only on green at t
-and at t - `signal_margin_s` (`phase_at`, never the solver's gate); the
-acceleration bounds; the duration 2 dx / (v0 + v1); one rounded arrival bin
-per arc, within the budget. It shares with the solver the speeds, the bin
-widths and bins per speed, the stop-line nodes, the arrival tie nudge
-(`forward.tie_eps`) and the arc-cost table, so agreement is exact. The
-solver is reached as `dp.optimize` and `dp.DpContext`, so wrappers placed
+statement of the solver's arc rules. The rules that hold at any node and
+time are evaluated once per context into a per-speed table
+(`_motion_arcs`): no zero-duration arc, the acceleration bounds, the
+duration 2 dx / (v0 + v1). `_arcs` states the rest: a wait only at zero
+speed at a stop line, within the budget; a departure from a stop line only
+on green at t and at t - `signal_margin_s` (`phase_at`, never the solver's
+gate); one rounded arrival bin per arc, within the budget. It shares with
+the solver the speeds, the bin widths and bins per speed, the stop-line
+nodes, the arrival tie nudge (`forward.tie_eps`) and the arc-cost table, so
+agreement is exact. The solver is reached as `dp.optimize` and `dp.DpContext`, so wrappers placed
 on the `dp` module see the oracle's solves too."""
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -41,28 +44,47 @@ def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
     return phase_at(sig, t) is Phase.GREEN and phase_at(sig, t - m) is Phase.GREEN
 
 
+@functools.lru_cache(maxsize=1)
+def _motion_arcs(ctx: dp.DpContext) -> list[list[tuple[int, float, float, int, float]]]:
+    """Per source speed, the motion arcs that the oracle's rules allow at
+    any node and time, by destination speed, each as (destination speed,
+    duration, its bin width, its bin count, cost): no zero-duration arc,
+    none past the acceleration bounds, the duration 2 dx / (v0 + v1).
+    Plain floats, built once per context; ``_arcs`` adds the rules that
+    depend on the node and the time."""
+    g, dx = ctx.grid, ctx.dx
+    speeds, dt, n_t = ctx.speeds.tolist(), ctx.dt.tolist(), ctx.n_t.tolist()
+    cost = ctx.lattice.cost.tolist()
+    table = []
+    for j, vi in enumerate(speeds):
+        row = []
+        for j2, vj in enumerate(speeds):
+            if vi + vj <= 0.0:
+                continue  # zero duration
+            a = (vj * vj - vi * vi) / (2.0 * dx)
+            if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
+                continue
+            row.append((j2, 2.0 * dx / (vi + vj), dt[j2], n_t[j2], cost[j][j2]))
+        table.append(row)
+    return table
+
+
 def _arcs(ctx: dp.DpContext, k: int, j: int, tb: int) -> Iterator[tuple[int, int, int, float]]:
     """The arcs out of bin ``tb`` at speed ``j`` of node ``k`` under the arc
     rules as the oracle states them, each as (node, speed bin, time bin,
-    cost): the wait arc first, then the motion arcs by destination speed."""
-    g, speeds, dt = ctx.grid, ctx.speeds, ctx.dt
+    cost): the wait arc first, then the motion arcs of ``_motion_arcs`` that
+    leave on green and arrive within the budget. The arrival bin rounds half
+    to even, as the solver's ``np.rint`` does."""
     if k in ctx.stop_nodes and j == 0 and tb + 1 < ctx.n_t[0]:
         yield k, 0, tb + 1, ctx.wait_cost.total_usd
-    t = tb * float(dt[j])
+    t = tb * float(ctx.dt[j])
     if not _departure_allowed(ctx, k, t):
         return
-    vi = float(speeds[j])
-    for j2 in range(ctx.n_v):
-        vj = float(speeds[j2])
-        if vi + vj <= 0.0:
-            continue  # zero duration
-        a = (vj * vj - vi * vi) / (2.0 * ctx.dx)
-        if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
-            continue
-        dur = 2.0 * ctx.dx / (vi + vj)
-        tb2 = int(np.rint((t + dur) / dt[j2] + tie_eps(k)))
-        if tb2 < ctx.n_t[j2]:
-            yield k + 1, j2, tb2, float(ctx.lattice.cost[j, j2])
+    eps = tie_eps(k)
+    for j2, dur, dt2, n_t2, cost in _motion_arcs(ctx)[j]:
+        tb2 = round((t + dur) / dt2 + eps)
+        if tb2 < n_t2:
+            yield k + 1, j2, tb2, cost
 
 
 class EnumerationBudgetExceeded(RuntimeError):

@@ -207,17 +207,19 @@ def sweep(
     """Run the full timing x spacing matrix; cells are independent and the
     aggregation order is fixed, so the result is identical for any job count.
 
-    With ``jobs > 1``, the pool's workers take one cell at a time, the
-    longest corridors first, so that no worker is left with a long cell at
-    the end while the others idle; the cells are returned in spec order."""
+    With ``jobs > 1``, a pool of at most one worker per cell takes one cell
+    at a time, the longest corridors first, so that no worker is left with a
+    long cell at the end while the others idle; the cells are returned in
+    spec order. A single cell runs in this process."""
     specs = sweep_specs(base, timings_s, spacings_m)
-    if jobs > 1:
+    workers = min(jobs, len(specs))
+    if workers > 1:
         import multiprocessing
 
         order = sorted(range(len(specs)), key=lambda k: specs[k].corridor().length_m,
                        reverse=True)
         cells: list = [None] * len(specs)
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             for k, cell in zip(order, pool.imap(_run_cell, [specs[k] for k in order])):
                 cells[k] = cell
     else:

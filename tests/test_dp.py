@@ -1,11 +1,12 @@
 """Optimizer tests: feasibility, determinism and enumeration agreement."""
+import functools
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ecocorridor import dp
+from ecocorridor import dp, oracle
 from ecocorridor.baseline import simulate_regular
 from ecocorridor.battery import BatteryModel
 from ecocorridor.config import load_config, override_cell
@@ -155,6 +156,41 @@ def test_matches_enumeration_on_tiny_instances():
     assert report.cases == 12
     assert report.failures == 0
     assert report.paths_total > 0
+
+
+def test_motion_arc_table_is_built_once_per_context(monkeypatch):
+    # the node- and time-free arc rules are evaluated once per enumeration
+    # context, however many times the search leaves a state
+    built, calls = [], []
+    build, arcs = oracle._motion_arcs.__wrapped__, oracle._arcs
+
+    def spy_build(ctx):
+        built.append(ctx)
+        return build(ctx)
+
+    def spy_arcs(*args):
+        calls.append(args)
+        return arcs(*args)
+
+    monkeypatch.setattr(oracle, "_motion_arcs", functools.lru_cache(maxsize=1)(spy_build))
+    monkeypatch.setattr(oracle, "_arcs", spy_arcs)
+    report = run_oracle_suite(cases=12, seed=7)
+    assert report.failures == 0
+    assert len(built) == 12
+    assert len({id(ctx) for ctx in built}) == 12
+    assert len(calls) > 100 * len(built)
+
+
+def test_enumeration_gives_up_past_the_path_cap(monkeypatch):
+    c, g, budget = random_tiny_instance(np.random.default_rng(3))
+    args = (c, VehicleParams(), BatteryModel(), g)
+    paths = verify_against_enumeration(*args, budget_s=budget)["paths_enumerated"]
+    assert paths > 1
+    monkeypatch.setattr(oracle, "_MAX_PATHS", paths)
+    assert verify_against_enumeration(*args, budget_s=budget)["paths_enumerated"] == paths
+    monkeypatch.setattr(oracle, "_MAX_PATHS", paths - 1)
+    with pytest.raises(oracle.EnumerationBudgetExceeded, match=f"more than {paths - 1} paths"):
+        verify_against_enumeration(*args, budget_s=budget)
 
 
 def _departures_never_allowed(monkeypatch):
