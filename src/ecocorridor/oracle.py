@@ -12,8 +12,9 @@ on green at t and at t - `signal_margin_s` (`phase_at`, never the solver's
 gate); one rounded arrival bin per arc, within the budget. It shares with
 the solver the speeds, the bin widths and bins per speed, the stop-line
 nodes, the arrival tie nudge (`forward.tie_eps`) and the arc-cost table, so
-agreement is exact. The solver is reached as `dp.optimize` and `dp.DpContext`, so wrappers placed
-on the `dp` module see the oracle's solves too."""
+agreement is exact. The solver is reached as `dp.optimize` and
+`dp.DpContext`, so wrappers placed on the `dp` module see the oracle's
+solves too."""
 from __future__ import annotations
 
 import functools
@@ -45,7 +46,7 @@ def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _motion_arcs(ctx: dp.DpContext) -> list[list[tuple[int, float, float, int, float]]]:
+def _motion_arcs(ctx: dp.DpContext) -> tuple[tuple[tuple[int, float, float, int, float], ...], ...]:
     """Per source speed, the motion arcs that the oracle's rules allow at
     any node and time, by destination speed, each as (destination speed,
     duration, its bin width, its bin count, cost): no zero-duration arc,
@@ -65,8 +66,8 @@ def _motion_arcs(ctx: dp.DpContext) -> list[list[tuple[int, float, float, int, f
             if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
                 continue
             row.append((j2, 2.0 * dx / (vi + vj), dt[j2], n_t[j2], cost[j][j2]))
-        table.append(row)
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _arcs(ctx: dp.DpContext, k: int, j: int, tb: int) -> Iterator[tuple[int, int, int, float]]:

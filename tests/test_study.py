@@ -91,25 +91,6 @@ def test_sweep_job_count_does_not_change_csv(base_spec, small_sweep, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-class _SerialPool:
-    """Stand-in for ``multiprocessing.Pool`` that records its process count
-    and maps in this process."""
-
-    sizes: list = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, items):
-        return map(fn, items)
-
-
 @pytest.mark.parametrize("timings, jobs, workers", [
     ((0.0, 15.0), 500, [4]),  # four cells
     ((0.0, 15.0), 3, [3]),
@@ -118,12 +99,29 @@ class _SerialPool:
 def test_sweep_starts_at_most_one_worker_per_cell(base_spec, monkeypatch, timings, jobs, workers):
     import multiprocessing
 
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+    sizes = []
+
+    class SerialPool:
+        """Stand-in for ``multiprocessing.Pool`` that records its process
+        count and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(study, "_run_cell", lambda spec: study.SweepCell(
         (spec.time_to_red_first_s, spec.time_to_red_second_s), spec.spacing_m, None, "stub"))
     res = sweep(base_spec, timings_s=timings, spacings_m=(400.0,), jobs=jobs)
-    assert _SerialPool.sizes == workers
+    assert sizes == workers
     specs = study.sweep_specs(base_spec, timings, (400.0,))
     assert [(c.timing, c.spacing_m) for c in res.cells] == [
         ((s.time_to_red_first_s, s.time_to_red_second_s), s.spacing_m) for s in specs]
