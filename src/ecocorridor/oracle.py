@@ -9,12 +9,14 @@ time are evaluated once per context into a per-speed table
 duration 2 dx / (v0 + v1). `_arcs` states the rest: a wait only at zero
 speed at a stop line, within the budget; a departure from a stop line only
 on green at t and at t - `signal_margin_s` (`phase_at`, never the solver's
-gate); one rounded arrival bin per arc, within the budget. It shares with
-the solver the speeds, the bin widths and bins per speed, the stop-line
-nodes, the arrival tie nudge (`forward.tie_eps`) and the arc-cost table, so
-agreement is exact. The solver is reached as `dp.optimize` and
-`dp.DpContext`, so wrappers placed on the `dp` module see the oracle's
-solves too."""
+gate); one rounded arrival bin per arc, within the budget. The search
+caches the arcs of each state it reaches for one case, keyed by (node,
+speed bin, time bin), and stores no value or path per state. It shares
+with the solver the speeds, the bin widths and bins per speed, the
+stop-line nodes, the arrival tie nudge (`forward.tie_eps`) and the
+arc-cost table, so agreement is exact. The solver is reached as
+`dp.optimize` and `dp.DpContext`, so wrappers placed on the `dp` module see
+the oracle's solves too."""
 from __future__ import annotations
 
 import functools
@@ -42,7 +44,8 @@ def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
         return True
     sig = ctx.corridor.signals[sig_idx]
     m = ctx.grid.signal_margin_s
-    return phase_at(sig, t) is Phase.GREEN and phase_at(sig, t - m) is Phase.GREEN
+    # at a zero margin t - m is t, so one read decides
+    return phase_at(sig, t) is Phase.GREEN and (m == 0.0 or phase_at(sig, t - m) is Phase.GREEN)
 
 
 @functools.lru_cache(maxsize=1)
@@ -96,9 +99,12 @@ def _enumerate_min(ctx: dp.DpContext) -> tuple[float | None, int]:
     """Exhaustive depth-first search over all feasible paths: the minimum
     cost of those that exit at the speed limit, and the number of paths.
     Costs accumulate in path order, so results are bit-comparable with the
-    DP recursion."""
+    DP recursion. A state's arcs depend only on (k, j, tb), so the arcs of
+    each reached state are generated once and walked again on every later
+    visit."""
     paths, best = 0, None
     last = ctx.n_nodes - 1
+    arcs_of: dict[tuple[int, int, int], tuple[tuple[int, int, int, float], ...]] = {}
 
     def recurse(k: int, j: int, tb: int, acc: float) -> None:
         nonlocal paths, best
@@ -109,7 +115,10 @@ def _enumerate_min(ctx: dp.DpContext) -> tuple[float | None, int]:
             if j == ctx.top and (best is None or acc < best):
                 best = acc
             return
-        for k2, j2, tb2, cost in _arcs(ctx, k, j, tb):
+        out = arcs_of.get((k, j, tb))
+        if out is None:
+            out = arcs_of[k, j, tb] = tuple(_arcs(ctx, k, j, tb))
+        for k2, j2, tb2, cost in out:
             recurse(k2, j2, tb2, acc + cost)
 
     recurse(0, ctx.top, 0, 0.0)

@@ -158,9 +158,31 @@ def test_matches_enumeration_on_tiny_instances():
     assert report.paths_total > 0
 
 
+def _walk_without_a_cache(ctx):
+    """The oracle's search as it would be without its per-state arc cache:
+    `_arcs` at every departure. Returns (best, paths, departures)."""
+    paths, best, departures = 0, None, 0
+    last = ctx.n_nodes - 1
+
+    def recurse(k, j, tb, acc):
+        nonlocal paths, best, departures
+        if k == last:
+            paths += 1
+            if j == ctx.top and (best is None or acc < best):
+                best = acc
+            return
+        departures += 1
+        for k2, j2, tb2, cost in _arcs(ctx, k, j, tb):
+            recurse(k2, j2, tb2, acc + cost)
+
+    recurse(0, ctx.top, 0, 0.0)
+    return best, paths, departures
+
+
 def test_motion_arc_table_is_built_once_per_context(monkeypatch):
     # the node- and time-free arc rules are evaluated once per enumeration
-    # context, however many times the search leaves a state
+    # context, and a state's arcs once per case, however many times the
+    # search leaves that state
     built, calls = [], []
     build, arcs = oracle._motion_arcs.__wrapped__, oracle._arcs
 
@@ -177,7 +199,28 @@ def test_motion_arc_table_is_built_once_per_context(monkeypatch):
     report = run_oracle_suite(cases=12, seed=7)
     assert report.failures == 0
     assert len(built) == 12
-    assert len(calls) > 100 * len(built)
+    assert len(set(calls)) == len(calls)
+    departures = sum(_walk_without_a_cache(ctx)[2] for ctx in list(built))
+    assert departures > len(calls)
+
+
+def _cases_for_the_walks():
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            yield random_tiny_instance(rng)
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        yield _binding_tiny_instance(rng)
+
+
+def test_cached_walk_matches_a_walk_without_a_cache():
+    # the cache only saves regenerating arcs: the same minimum, bit for bit,
+    # over the same number of paths
+    vp, bat = VehicleParams(), BatteryModel()
+    for c, g, budget in _cases_for_the_walks():
+        ctx = dp.DpContext(c, vp, bat, g, Prices(), budget)
+        assert oracle._enumerate_min(ctx) == _walk_without_a_cache(ctx)[:2]
 
 
 def test_enumeration_gives_up_past_the_path_cap(monkeypatch):
