@@ -11,7 +11,6 @@ result into a priced trajectory.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +69,8 @@ class Lattice:
     (``arcs``, by source and destination speed) with their durations and
     costs as tables, the wait cost, the state numbering over the longest
     time a solve has needed, and the two stage-parity plans.
-    ``_lattice`` keeps the lattices of the last two keys."""
+    ``_lattice`` keeps the lattices of the last ``_KEPT_LATTICES`` keys,
+    and the plans of those not in use within ``_PLAN_BUDGET_BYTES``."""
 
     def __init__(self, grid: DpGridSpec, limit: float, vehicle: VehicleParams,
                  battery: BatteryModel, prices: Prices) -> None:
@@ -112,6 +112,7 @@ class Lattice:
         self.allowed_s = -np.inf
         self.n_t = np.full(n, -1)  # below any count: nothing is numbered yet
         self._plans: tuple | None = None
+        self.plan_bytes = 0  # of the plan arrays held
 
     def cover(self, allowed_s: float) -> None:
         """Number the states whose bins start by ``allowed_s``. Only a time
@@ -133,26 +134,54 @@ class Lattice:
         only the groups of the new states and appends them. That is exact:
         every arc lands in a later bin than it leaves, so an old state's
         group holds only old sources. A solve reads only the groups of its
-        budget's states. Building plans drops the plans of the lattice that
-        held them, so one lattice holds plans at a time."""
-        if self._plans is None:
-            if _planned:
-                _planned.pop()._plans = None
-            self._plans = tuple(build_plan(self, parity, 0) for parity in (0, 1))
-            _planned.append(self)
-        held = len(self._plans[0].filled)
-        if held < len(self.state_at):
-            self._plans = tuple(plan.grown(build_plan(self, parity, held))
-                                for parity, plan in enumerate(self._plans))
+        budget's states. A call that finds the plans whole only returns
+        them: the plans stay until ``_lattice`` drops them to make room."""
+        if self._plans is None or len(self._plans[0].filled) < len(self.state_at):
+            held = 0 if self._plans is None else len(self._plans[0].filled)
+            tails = tuple(build_plan(self, parity, held) for parity in (0, 1))
+            self._plans = tails if self._plans is None else tuple(
+                plan.grown(tail) for plan, tail in zip(self._plans, tails))
+            self.plan_bytes = sum(a.nbytes for plan in self._plans for a in plan)
         return self._plans
 
 
-# the one lattice that holds plans
-_planned: list[Lattice] = []
-# The lattice of a key. Keeping two lets a study that alternates between two
-# grids (a retry on a finer one) keep the numbering and priced arcs of each,
-# and rebuild the plans of each at the longest time it has needed.
-_lattice = functools.lru_cache(maxsize=2)(Lattice)
+# The kept lattices by key, least recently used first (a plain dict: an
+# OrderedDict hashes every key again as it iterates). The oracle's
+# `random_tiny_instance` draws one of 27 grids, and a study solves on the
+# paper grid and its halved-speed-step retry, so each keeps the priced arcs
+# and the numbering of every grid it uses.
+_KEPT_LATTICES = 32
+_lattices: dict[tuple, Lattice] = {}
+# Bytes of plans that the lattices not in use may hold between them. Sized
+# between the two kinds of grid: the plans of all 27 tiny grids take 144 KB
+# at their longest budgets (the largest 9 KB), so all of them stay; the
+# paper grid's take 3.5 MB at its longest budget, and 6.4 MB on the retry's
+# grid, so no two paper grids hold plans together. 1 MiB, between the two,
+# worked in a prototype.
+_PLAN_BUDGET_BYTES = 1 << 20
+
+
+def _lattice(grid: DpGridSpec, limit: float, vehicle: VehicleParams,
+             battery: BatteryModel, prices: Prices) -> Lattice:
+    """The lattice of a key, now in use: built on the key's first use, with
+    the least recently used of ``_KEPT_LATTICES`` out when a new one comes
+    in. Then the other lattices drop their plans, least recently used
+    first, until they hold at most ``_PLAN_BUDGET_BYTES`` between them."""
+    key = (grid, limit, vehicle, battery, prices)
+    lat = _lattices.pop(key, None)
+    if lat is None:
+        lat = Lattice(*key)
+        if len(_lattices) >= _KEPT_LATTICES:
+            del _lattices[next(iter(_lattices))]
+    _lattices[key] = lat
+    held = [other for other in _lattices.values() if other.plan_bytes and other is not lat]
+    excess = sum(other.plan_bytes for other in held) - _PLAN_BUDGET_BYTES
+    for other in held:
+        if excess <= 0:
+            break
+        excess -= other.plan_bytes
+        other._plans, other.plan_bytes = None, 0
+    return lat
 
 
 class DpContext:

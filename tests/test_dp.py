@@ -594,8 +594,14 @@ def _fingerprint(cell):
 
 def _forget_lattices():
     """Drop every lattice, as in a new process."""
-    dp._lattice.cache_clear()
-    dp._planned.clear()
+    dp._lattices.clear()
+
+
+def _tiny_cells(count, seed=0):
+    """Cells of `random_tiny_instance` draws, in `_fingerprint`'s form."""
+    rng = np.random.default_rng(seed)
+    return [(c, VehicleParams(), BatteryModel(), g, budget)
+            for c, g, budget in (random_tiny_instance(rng) for _ in range(count))]
 
 
 def test_solve_does_not_depend_on_the_kept_plan():
@@ -603,24 +609,29 @@ def test_solve_does_not_depend_on_the_kept_plan():
     # the paper cell that is solved again with half the speed step
     halved = _paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25)
     assert long[4] > short[4]
+    tiny = _tiny_cells(30)
 
-    def solve(cell, after=None):
+    def solve(cell, *after):
         _forget_lattices()
-        if after is not None:
-            _fingerprint(after)
+        for other in after:
+            _fingerprint(other)
         return _fingerprint(cell)
 
     cold_long, cold_short = solve(long), solve(short)
-    assert solve(long, after=short) == cold_long    # plan grown from a smaller budget
-    assert solve(long, after=long) == cold_long     # plan of the same budget
-    assert solve(short, after=long) == cold_short   # prefix of a larger budget's plan
-    assert solve(long, after=halved) == cold_long   # plan of another grid replaced
-    assert solve(short, after=halved) == cold_short
+    assert solve(long, short) == cold_long      # plan grown from a smaller budget
+    assert solve(long, long) == cold_long       # plan of the same budget
+    assert solve(short, long) == cold_short     # prefix of a larger budget's plan
+    assert solve(long, halved) == cold_long     # plan of another grid replaced
+    assert solve(short, halved) == cold_short
     # lattices of the same grid under another vehicle, battery or variant
     for other in (_paper_cell(15.0, 15.0, 800.0, regen=True),
                   _paper_cell(15.0, 15.0, 800.0, decay_multiplier=10.0),
                   _paper_cell(15.0, 15.0, 800.0, variant="long_range")):
-        assert solve(long, after=other) == cold_long
+        assert solve(long, other) == cold_long
+    # tiny grids keep their plans beside one another and beside the paper grid's
+    assert solve(long, *tiny) == cold_long
+    warm_tiny = [_fingerprint(cell) for cell in tiny]
+    assert warm_tiny == [solve(cell) for cell in tiny]
 
 
 def test_optimize_builds_its_context_by_name(monkeypatch):
@@ -638,22 +649,70 @@ def test_optimize_builds_its_context_by_name(monkeypatch):
     assert len(built) == 1
 
 
+def _holding():
+    """The kept lattices that hold plans, least recently used first."""
+    return [lat for lat in dp._lattices.values() if lat.plan_bytes]
+
+
 def test_one_grid_plan_is_kept():
-    # the paper grid's largest budget, 107.5 s, keeps its plans within 4 MB
+    # the paper grid's largest budget, 107.5 s, keeps its plans within 4 MB,
+    # more than lattices not in use may hold
     largest = _paper_cell(0.0, 0.0, 800.0)
     assert largest[4] == pytest.approx(107.46, abs=0.01)
+    _forget_lattices()
     _fingerprint(largest)
-    assert len(dp._planned) == 1
-    assert sum(a.nbytes for plan in dp._planned[0].plans() for a in plan) <= 4e6
-    default = dp._planned[0]
+    [default] = _holding()
+    assert dp._PLAN_BUDGET_BYTES < default.plan_bytes <= 4e6
+    assert default.plan_bytes == sum(a.nbytes for plan in default.plans() for a in plan)
+    # so a paper grid's plans are never held beside another paper grid's
     _fingerprint(_paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25))
-    assert len(dp._planned) == 1 and dp._planned[0] is not default
-    assert default._plans is None
-    halved = dp._planned[0]
+    [halved] = _holding()
+    assert halved is not default and default._plans is None
     c, g, budget = random_tiny_instance(np.random.default_rng(3))
     optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
-    assert len(dp._planned) == 1 and dp._planned[0] is not halved
-    assert dp._planned[0].allowed_s == budget + g.signal_margin_s
+    [tiny] = _holding()
+    assert tiny is not halved and halved._plans is None
+    assert tiny.allowed_s == budget + g.signal_margin_s
+    # a tiny grid's plans fit in what lattices not in use may hold
+    _fingerprint(largest)
+    assert _holding() == [tiny, default]
+    assert tiny.plan_bytes <= dp._PLAN_BUDGET_BYTES < default.plan_bytes
+
+
+@pytest.mark.parametrize("budget", [dp._PLAN_BUDGET_BYTES, 20_000])
+def test_lattices_not_in_use_hold_at_most_the_plan_budget(monkeypatch, budget):
+    shipped = budget == dp._PLAN_BUDGET_BYTES
+    monkeypatch.setattr(dp, "_PLAN_BUDGET_BYTES", budget)
+    tiny = _tiny_cells(20), _tiny_cells(20, seed=1)
+    cells = [_paper_cell(0.0, 0.0, 800.0), *tiny[0],
+             _paper_cell(0.0, -15.0, 200.0, speed_step_m_s=0.25), *tiny[1],
+             _paper_cell(15.0, 15.0, 400.0), _paper_cell(0.0, 0.0, 200.0, variant="long_range")]
+    _forget_lattices()
+    for n, (c, vp, bat, g, budget_s) in enumerate(cells, 1):
+        forward_pass(dp.DpContext(c, vp, bat, g, Prices(), budget_s))
+        *others, in_use = dp._lattices.values()
+        assert in_use.plan_bytes > 0
+        assert sum(lat.plan_bytes for lat in others) <= budget
+        # the least recently used lattices' plans went first
+        held = [lat.plan_bytes > 0 for lat in others]
+        assert held == sorted(held)
+        for lat in dp._lattices.values():
+            assert lat.plan_bytes == (0 if lat._plans is None else sum(
+                a.nbytes for plan in lat._plans for a in plan))
+        if n == len(cells) - 2 and shipped:
+            # every tiny grid since the retry's keeps its plans
+            grids = {(c.speed_limit_m_s, g) for c, _, _, g, _ in tiny[1]}
+            assert len(_holding()) == len(grids)
+
+
+def test_a_second_oracle_run_builds_nothing(monkeypatch):
+    _forget_lattices()
+    cold = run_oracle_suite(cases=50, seed=0, verbose=True)
+    built = [_spy(monkeypatch, name) for name in ("Lattice", "build_plan", "motion_arc_cost")]
+    warm = run_oracle_suite(cases=50, seed=0, verbose=True)
+    assert built == [[], [], []]
+    assert warm.lines == cold.lines and len(warm.lines) == 50
+    assert warm.paths_total == cold.paths_total
 
 
 def _spy(monkeypatch, name):
@@ -672,7 +731,7 @@ def test_a_budget_that_adds_no_bin_renumbers_nothing(monkeypatch):
     c, vp, bat, g, budget = _paper_cell(15.0, 15.0, 800.0)
     _forget_lattices()
     first = optimize(c, vp, bat, g, Prices(), budget_s=budget)
-    lat = dp._planned[0]
+    [lat] = dp._lattices.values()
     longer = budget + 1e-3
     assert (bins_within(lat.dt, longer + g.signal_margin_s) == lat.n_t).all()
     numbered, built = _spy(monkeypatch, "time_order"), _spy(monkeypatch, "build_plan")

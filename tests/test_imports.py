@@ -2,6 +2,9 @@
 parameter of a package function is read, save the listed exceptions: scans
 of each module's syntax tree for names that nothing reads."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,3 +116,30 @@ def test_the_scan_finds_an_unread_parameter():
     tree = ast.parse("class C:\n    def f(self, a, b, *c, d, **e):\n"
                      "        def g(h):\n            return a + d\n        return g(e)\n")
     assert _unread_parameters(tree, "m") == ["m.C.f: b", "m.C.f: c", "m.C.f.g: h"]
+
+
+# The package modules that importing `ecocorridor.report` and loading a
+# config bring in: the set-up that perfbench/setup_time.py times in fresh
+# interpreters. The oracle, the CLI and the sweep's process pool load later,
+# in the commands and workloads that use them.
+SETUP_MODULES = [
+    "ecocorridor", "ecocorridor.advisory", "ecocorridor.baseline", "ecocorridor.battery",
+    "ecocorridor.config", "ecocorridor.corridor", "ecocorridor.costs", "ecocorridor.dp",
+    "ecocorridor.forward", "ecocorridor.powertrain", "ecocorridor.report", "ecocorridor.study",
+    "ecocorridor.trajectory",
+]
+
+
+def test_setup_imports_only_what_it_uses():
+    code = (
+        "import sys\n"
+        "import ecocorridor.report\n"
+        "from ecocorridor.config import load_config\n"
+        f"load_config({str(ROOT / 'configs' / 'paper_sweep.json')!r})\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert [m for m in loaded if m.split(".")[0] == "ecocorridor"] == SETUP_MODULES
+    assert "multiprocessing" not in loaded
