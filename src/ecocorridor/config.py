@@ -9,7 +9,7 @@ from .advisory import AdvisoryConfig, DriverFollowingModel, IDEAL_DRIVER
 from .baseline import RegularDriverRules
 from .battery import BatteryModel, load_coefficient_table
 from .costs import Prices
-from .dp import DpGridSpec
+from .dp import DpGridSpec, off_grid
 from .powertrain import VehicleParams
 from .study import (
     DEFAULT_SPACINGS_M,
@@ -25,6 +25,12 @@ OWNED_KEYS = {
     "vehicle.mass_kg": "vehicle.variant",
     "battery.capacity_kwh": "vehicle.variant",
     "battery.coeff_table": "battery.coefficients_csv",
+}
+# the key of each corridor segment, by its `Corridor` field
+_SEGMENT_KEYS = {
+    "entry_buffer_m": "corridor.entry_buffer_m",
+    "light_spacing_m": "corridor.spacing_m",
+    "exit_buffer_m": "corridor.exit_buffer_m",
 }
 
 
@@ -159,11 +165,28 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
         advisory.check_limit(base.speed_limit_m_s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _on_grid(base)
 
     sweep = _block(raw, "sweep", {"timings_s", "spacings_m"})
     timings = _numbers(sweep, "sweep.timings_s", DEFAULT_TIMINGS_S)
     spacings = _numbers(sweep, "sweep.spacings_m", DEFAULT_SPACINGS_M)
+    for spacing in spacings:
+        _on_grid(replace(base, spacing_m=spacing), "sweep.spacings_m")
     return RunConfig(base, timings, spacings, advisory, driver)
+
+
+def _on_grid(spec: ScenarioSpec, name: str | None = None) -> ScenarioSpec:
+    """``spec``, whose corridor must keep the distance grid's geometry rule
+    (``dp.off_grid``). The error names ``name``, or else the key of the
+    segment that breaks the rule."""
+    corridor, dx = spec.corridor(), spec.grid.distance_step_m
+    segment = off_grid(corridor, dx)
+    if segment:
+        raise ConfigError(
+            f"'{name or _SEGMENT_KEYS[segment]}' must be a whole number of "
+            f"'grid.distance_step_m' ({dx:g} m), so that the stop lines lie on "
+            f"distance nodes; got {getattr(corridor, segment):g}")
+    return spec
 
 
 def _numbers(block: dict, name: str, default: tuple[float, ...]) -> tuple[float, ...]:
@@ -200,5 +223,5 @@ def override_cell(cfg: RunConfig, timing: tuple[float, float] | None, spacing: f
             time_to_red_second_s=float(timing[1]),
         )
     if spacing is not None:
-        spec = replace(spec, spacing_m=float(spacing))
+        spec = _on_grid(replace(spec, spacing_m=float(spacing)), "--spacing")
     return spec

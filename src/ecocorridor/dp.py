@@ -63,6 +63,17 @@ def time_budget(trip_time_s: float, g: DpGridSpec) -> float:
     return trip_time_s * (1.0 + g.time_buffer_frac)
 
 
+def off_grid(corridor: Corridor, dx: float) -> str | None:
+    """The grid's geometry rule: every segment length of the corridor is a
+    whole number of distance steps ``dx``, so the stop lines lie on nodes.
+    Returns the ``Corridor`` field of the first segment that breaks it."""
+    for name in ("entry_buffer_m", "light_spacing_m", "exit_buffer_m"):
+        length = getattr(corridor, name)
+        if abs(round(length / dx) * dx - length) > 1e-6:
+            return name
+    return None
+
+
 class Lattice:
     """What a solve needs that depends only on the grid and the cost model:
     the speeds and their bin widths, the feasible speed pairs' priced arcs
@@ -109,38 +120,31 @@ class Lattice:
         self.pairs = Pairs(i, j, self.dt[i], self.dt[j], self.dur[i, j])
         self.sources = np.split(i, np.cumsum(np.bincount(j, minlength=n))[:-1])
         self.wait_cost = interval_cost(0.0, 0.0, float(self.dt[0]), vehicle, battery, prices)
-        self.allowed_s = -np.inf
         self.n_t = np.full(n, -1)  # below any count: nothing is numbered yet
         self._plans: tuple | None = None
         self.plan_bytes = 0  # of the plan arrays held
 
-    def cover(self, allowed_s: float) -> None:
-        """Number the states whose bins start by ``allowed_s``. Only a time
-        that gives some speed another bin renumbers, and the states of a
-        shorter time keep their numbers (``time_order``), so the plans stay
-        valid over them; ``plans`` appends the groups of the new states."""
-        if allowed_s > self.allowed_s:
-            self.allowed_s = allowed_s
-            n_t = bins_within(self.dt, allowed_s)
-            if (n_t > self.n_t).any():
-                self.n_t = n_t
-                # speed-major index: bin tb of speed j is offsets[j] + tb
-                self.offsets = np.concatenate(([0], np.cumsum(n_t)))
-                self.state_speed, self.state_bin, self.state_at = time_order(self.dt, n_t)
+    def cover(self, allowed_s: float) -> np.ndarray:
+        """The per-speed bin counts of the states whose bins start by
+        ``allowed_s`` (``bins_within``). A time that gives some speed another
+        bin renumbers the states and drops the plans; a shorter time's states
+        keep their numbers (``time_order``), a prefix of the numbering."""
+        n_t = bins_within(self.dt, allowed_s)
+        if (n_t > self.n_t).any():
+            self.n_t = n_t
+            # speed-major index: bin tb of speed j is offsets[j] + tb
+            self.offsets = np.concatenate(([0], np.cumsum(n_t)))
+            self.state_speed, self.state_bin, self.state_at = time_order(self.dt, n_t)
+            self._plans, self.plan_bytes = None, 0
+        return n_t
 
     def plans(self) -> tuple:
-        """Both stage parities' plans over the numbered states. The first
-        call builds them; a call after ``cover`` numbered more states builds
-        only the groups of the new states and appends them. That is exact:
-        every arc lands in a later bin than it leaves, so an old state's
-        group holds only old sources. A solve reads only the groups of its
-        budget's states. A call that finds the plans whole only returns
-        them: the plans stay until ``_lattice`` drops them to make room."""
-        if self._plans is None or len(self._plans[0].filled) < len(self.state_at):
-            held = 0 if self._plans is None else len(self._plans[0].filled)
-            tails = tuple(build_plan(self, parity, held) for parity in (0, 1))
-            self._plans = tails if self._plans is None else tuple(
-                plan.grown(tail) for plan, tail in zip(self._plans, tails))
+        """Both stage parities' plans over the numbered states, built whole
+        on the first call after ``cover`` numbered them. A solve reads only
+        the groups of its budget's states. The plans stay until ``cover``
+        renumbers or ``_lattice`` drops them to make room."""
+        if self._plans is None:
+            self._plans = tuple(build_plan(self, parity) for parity in (0, 1))
             self.plan_bytes = sum(a.nbytes for plan in self._plans for a in plan)
         return self._plans
 
@@ -202,18 +206,13 @@ class DpContext:
         self.budget_s = float(budget_s)
 
         dx = grid.distance_step_m
-        n_stages = round(corridor.length_m / dx)
-        if abs(n_stages * dx - corridor.length_m) > 1e-6:
-            raise ValueError("distance_step_m must divide the corridor length")
-        self.n_nodes = n_stages + 1
+        segment = off_grid(corridor, dx)
+        if segment:
+            raise ValueError(f"{segment} must be a whole number of distance_step_m ({dx:g} m)")
+        self.n_nodes = round(corridor.length_m / dx) + 1
         self.dx = dx
-
-        self.stop_nodes: dict[int, int] = {}
-        for sig_idx, line in enumerate(corridor.stop_lines_m):
-            node = round(line / dx)
-            if abs(node * dx - line) > 1e-6:
-                raise ValueError("stop lines must fall on distance nodes")
-            self.stop_nodes[node] = sig_idx
+        self.stop_nodes = {round(line / dx): sig_idx
+                           for sig_idx, line in enumerate(corridor.stop_lines_m)}
 
         lat = self.lattice = _lattice(grid, corridor.speed_limit_m_s, vehicle, battery, prices)
         self.speeds, self.dt, self.n_v, self.wait_cost = lat.speeds, lat.dt, lat.n_v, lat.wait_cost
@@ -222,9 +221,8 @@ class DpContext:
         # The departure gate refuses the first signal_margin_s of every green
         # window, so a driver who leaves exactly at an onset is delayed by the
         # margin; the allowance below returns that slack to the arrival check.
-        self.allowed_s = self.budget_s + grid.signal_margin_s
-        lat.cover(self.allowed_s)
-        self.n_t = bins_within(self.dt, self.allowed_s)
+        allowed_s = self.budget_s + grid.signal_margin_s
+        self.n_t = lat.cover(allowed_s)
         self.n_states = int(self.n_t.sum())
         # bin tb of speed j is state state_at[offsets[j] + tb]
         self.offsets, self.state_at = lat.offsets, lat.state_at

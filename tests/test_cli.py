@@ -142,6 +142,24 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "accel_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, edit, key", [
+    # each used to end in a ValueError traceback with exit 1, and the sweep
+    # spacing aborted the sweep's other cells
+    (["run"], {"corridor": {"spacing_m": 205}}, "corridor.spacing_m"),
+    (["sweep"], {"sweep": {"spacings_m": [400, 205]}}, "sweep.spacings_m"),
+    (["run", "--spacing", "205"], {}, "--spacing"),
+])
+def test_off_grid_corridor_exits_2(tiny_config, tmp_path, capsys, argv, edit, key):
+    payload = json.loads(tiny_config.read_text())
+    for block, values in edit.items():
+        payload[block].update(values)
+    tiny_config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"configuration error: '{key}' must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_infeasible_exits_3(tmp_path, capsys):
     # with almost no braking authority the entering vehicle cannot stop
     # for a light that is red on arrival, so no feasible plan exists

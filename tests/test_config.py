@@ -155,6 +155,25 @@ def test_repeated_sweep_values_exit_2(tmp_path, capsys, sweep_block, key):
     assert not (tmp_path / "table2.csv").exists()
 
 
+@pytest.mark.parametrize("payload, key", [
+    # a segment off the 10 m distance grid used to load, and `run` and
+    # `sweep` then ended in a ValueError traceback with exit 1; one such
+    # sweep spacing aborted the whole sweep
+    ({"corridor": {"spacing_m": 205}}, "corridor.spacing_m"),
+    ({"corridor": {"entry_buffer_m": 95}}, "corridor.entry_buffer_m"),
+    ({"corridor": {"exit_buffer_m": 100.5}}, "corridor.exit_buffer_m"),
+    ({"grid": {"distance_step_m": 30.0}}, "corridor.entry_buffer_m"),
+    ({"sweep": {"spacings_m": [200, 205]}}, "sweep.spacings_m"),
+])
+def test_off_grid_corridor_exits_2(tmp_path, capsys, payload, key):
+    path = write_cfg(tmp_path, payload)
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert f"'{key}' must be a whole number of 'grid.distance_step_m'" in capsys.readouterr().err
+    assert not (tmp_path / "table2.csv").exists()
+
+
 # config blocks that load_config builds field by field from a dataclass
 DATACLASS_BLOCKS = {
     "vehicle": VehicleParams,
@@ -201,6 +220,8 @@ def _accepted_keys(tmp_path) -> dict[str, object]:
         for f in fields(cls):
             if f"{block}.{f.name}" not in OWNED_KEYS:
                 keys[f"{block}.{f.name}"] = _nudged(getattr(default, f.name))
+    # 9 m would put the default corridor's stop lines off the grid
+    keys["grid.distance_step_m"] = 20.0
     return keys
 
 
@@ -310,3 +331,10 @@ def test_override_cell():
     # None leaves the base scenario untouched
     same = override_cell(cfg, None, None)
     assert same is cfg.base
+
+
+def test_override_cell_keeps_the_spacing_on_the_grid():
+    cfg = load_config(CONFIG_DIR / "paper_sweep.json")
+    with pytest.raises(ConfigError, match="'--spacing' must be a whole number"):
+        override_cell(cfg, None, 205.0)
+    assert override_cell(cfg, None, 210.0).spacing_m == 210.0

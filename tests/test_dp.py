@@ -618,7 +618,7 @@ def test_solve_does_not_depend_on_the_kept_plan():
         return _fingerprint(cell)
 
     cold_long, cold_short = solve(long), solve(short)
-    assert solve(long, short) == cold_long      # plan grown from a smaller budget
+    assert solve(long, short) == cold_long      # plans rebuilt over a larger budget
     assert solve(long, long) == cold_long       # plan of the same budget
     assert solve(short, long) == cold_short     # prefix of a larger budget's plan
     assert solve(long, halved) == cold_long     # plan of another grid replaced
@@ -672,7 +672,7 @@ def test_one_grid_plan_is_kept():
     optimize(c, VehicleParams(), BatteryModel(), g, budget_s=budget)
     [tiny] = _holding()
     assert tiny is not halved and halved._plans is None
-    assert tiny.allowed_s == budget + g.signal_margin_s
+    assert (tiny.n_t == bins_within(tiny.dt, budget + g.signal_margin_s)).all()
     # a tiny grid's plans fit in what lattices not in use may hold
     _fingerprint(largest)
     assert _holding() == [tiny, default]
@@ -732,38 +732,50 @@ def test_a_budget_that_adds_no_bin_renumbers_nothing(monkeypatch):
     _forget_lattices()
     first = optimize(c, vp, bat, g, Prices(), budget_s=budget)
     [lat] = dp._lattices.values()
-    longer = budget + 1e-3
-    assert (bins_within(lat.dt, longer + g.signal_margin_s) == lat.n_t).all()
+    longer, n_t = budget + 1e-3, lat.n_t
+    assert (bins_within(lat.dt, longer + g.signal_margin_s) == n_t).all()
     numbered, built = _spy(monkeypatch, "time_order"), _spy(monkeypatch, "build_plan")
     again = optimize(c, vp, bat, g, Prices(), budget_s=longer)
     assert numbered == [] and built == []
-    assert lat.allowed_s == longer + g.signal_margin_s
+    assert lat.n_t is n_t
     assert again.value == first.value
     assert np.array_equal(again.states, first.states)
 
 
-def test_plans_grow_to_a_cold_build(monkeypatch):
+def test_a_budget_that_adds_a_bin_drops_the_plans(monkeypatch):
     # the paper grid's lattice over three budgets, shortest first
     cells = [_paper_cell(0.0, 0.0, s) for s in (200.0, 400.0, 800.0)]
     c, vp, bat, g, _ = cells[0]
     _forget_lattices()
     built = _spy(monkeypatch, "build_plan")
-    grown, held = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices()), 0
+    lat, numbered = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices()), 0
     for *_, budget in cells:
-        grown.cover(budget + g.signal_margin_s)
-        assert len(grown.state_at) > held
+        n_t = lat.cover(budget + g.signal_margin_s)
+        assert lat.n_t is n_t and len(lat.state_at) > numbered
+        assert lat._plans is None and lat.plan_bytes == 0
         built.clear()
-        plans = grown.plans()
-        # only the groups of the newly numbered states are built
+        plans = lat.plans()
+        # both plans are built whole, one group per numbered state
         assert [(args[1:], len(plan.filled)) for args, plan in built] == [
-            ((parity, held), len(grown.state_at) - held) for parity in (0, 1)]
-        held = len(grown.state_at)
-    cold = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices())
-    cold.cover(cells[-1][4] + g.signal_margin_s)
-    for plan, cold_plan in zip(plans, cold.plans()):
-        for name, a, b in zip(plan._fields, plan, cold_plan):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
+            ((parity,), len(lat.state_at)) for parity in (0, 1)]
+        numbered = len(lat.state_at)
+        cold = dp.Lattice(g, c.speed_limit_m_s, vp, bat, Prices())
+        cold.cover(budget + g.signal_margin_s)
+        for plan, cold_plan in zip(plans, cold.plans()):
+            for name, a, b in zip(plan._fields, plan, cold_plan):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
     _forget_lattices()
+
+
+def test_a_context_counts_its_bins_once(monkeypatch):
+    c, g, budget = random_tiny_instance(np.random.default_rng(3))
+    _forget_lattices()
+    counted = _spy(monkeypatch, "bins_within")
+    for _ in range(2):  # on a fresh lattice, then on the warm one
+        ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), budget)
+        assert len(counted) == 1
+        assert (ctx.n_t == counted[0][1]).all()
+        counted.clear()
 
 
 def test_second_context_prices_no_arc(monkeypatch):
