@@ -26,12 +26,6 @@ OWNED_KEYS = {
     "battery.capacity_kwh": "vehicle.variant",
     "battery.coeff_table": "battery.coefficients_csv",
 }
-# the key of each corridor segment, by its `Corridor` field
-_SEGMENT_KEYS = {
-    "entry_buffer_m": "corridor.entry_buffer_m",
-    "light_spacing_m": "corridor.spacing_m",
-    "exit_buffer_m": "corridor.exit_buffer_m",
-}
 
 
 class ConfigError(ValueError):
@@ -182,8 +176,10 @@ def _on_grid(spec: ScenarioSpec, name: str | None = None) -> ScenarioSpec:
     corridor, dx = spec.corridor(), spec.grid.distance_step_m
     segment = off_grid(corridor, dx)
     if segment:
+        # the corridor's light_spacing_m is the config's corridor.spacing_m
+        name = name or "corridor." + segment.removeprefix("light_")
         raise ConfigError(
-            f"'{name or _SEGMENT_KEYS[segment]}' must be a whole number of "
+            f"'{name}' must be a whole number of "
             f"'grid.distance_step_m' ({dx:g} m), so that the stop lines lie on "
             f"distance nodes; got {getattr(corridor, segment):g}")
     return spec
