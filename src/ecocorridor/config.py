@@ -9,13 +9,14 @@ from .advisory import AdvisoryConfig, DriverFollowingModel, IDEAL_DRIVER
 from .baseline import RegularDriverRules
 from .battery import BatteryModel, load_coefficient_table
 from .costs import Prices
-from .dp import DpGridSpec, off_grid
+from .dp import DpGridSpec, early_arc, off_grid
 from .powertrain import VehicleParams
 from .study import (
     DEFAULT_SPACINGS_M,
     DEFAULT_TIMINGS_S,
     ScenarioSpec,
     VEHICLE_VARIANTS,
+    retry_grid,
 )
 
 KMH_TO_M_S = 1.0 / 3.6
@@ -160,6 +161,14 @@ def _parse(raw: dict, base_dir: Path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _on_grid(base)
+    # a scenario infeasible on the grid is solved again on the retry's grid
+    for g, which in ((grid, "time bins"), (retry_grid(grid), "time bins of the halved-speed-step retry")):
+        early = early_arc(g, base.speed_limit_m_s)
+        if early:
+            raise ConfigError(
+                f"'grid.distance_step_m' ({grid.distance_step_m:g} m) is too short for the "
+                f"{which}: an arc from {early[0]:g} to {early[1]:g} m/s could land in an "
+                "earlier bin than it leaves")
 
     sweep = _block(raw, "sweep", {"timings_s", "spacings_m"})
     timings = _numbers(sweep, "sweep.timings_s", DEFAULT_TIMINGS_S)

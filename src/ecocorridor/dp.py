@@ -74,6 +74,40 @@ def off_grid(corridor: Corridor, dx: float) -> str | None:
     return None
 
 
+def speed_bins(grid: DpGridSpec, limit: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's speeds up to ``limit`` and each speed's time-bin width:
+    the fine ``boundary_time_step_s`` within ``BOUNDARY_BAND_M_S`` of the
+    limit, ``time_step_s`` below it."""
+    speeds = list(np.arange(0.0, limit, grid.speed_step_m_s))
+    if not speeds or limit - speeds[-1] > 1e-9:
+        speeds.append(limit)
+    speeds = np.array(speeds)
+    band_lo = limit - BOUNDARY_BAND_M_S - 1e-9
+    return speeds, np.where(speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
+
+
+def motion_pairs(grid: DpGridSpec, speeds: np.ndarray) -> np.ndarray:
+    """Per (source, destination) speed, whether one distance step joins
+    them: an arc of nonzero duration within the acceleration bounds."""
+    v0, v1 = speeds[:, None], speeds
+    a = (v1 * v1 - v0 * v0) / (2.0 * grid.distance_step_m)
+    return (v0 + v1 > 0.0) & (a >= grid.decel_min_m_s2 - _EPS) & (a <= grid.accel_max_m_s2 + _EPS)
+
+
+def early_arc(grid: DpGridSpec, limit: float) -> tuple[float, float] | None:
+    """The grid's clock rule: every arc lands in a bin that starts after its
+    source bin does, however its arrival rounds, so that states in time
+    order only feed later states. A distance step too short for the time
+    bins breaks it. Returns the source and destination speeds of the first
+    arc that breaks it."""
+    speeds, dt = speed_bins(grid, limit)
+    pairs = motion_pairs(grid, speeds)
+    dur = np.divide(2.0 * grid.distance_step_m, speeds[:, None] + speeds,
+                    out=np.full(pairs.shape, np.inf), where=pairs)
+    i, j = np.nonzero(dur - dt + 0.5 * dt[:, None] <= 1e-6 * dt)
+    return (float(speeds[i[0]]), float(speeds[j[0]])) if len(i) else None
+
+
 class Lattice:
     """What a solve needs that depends only on the grid and the cost model:
     the speeds and their bin widths, the feasible speed pairs' priced arcs
@@ -85,37 +119,24 @@ class Lattice:
 
     def __init__(self, grid: DpGridSpec, limit: float, vehicle: VehicleParams,
                  battery: BatteryModel, prices: Prices) -> None:
-        speeds = list(np.arange(0.0, limit, grid.speed_step_m_s))
-        if not speeds or limit - speeds[-1] > 1e-9:
-            speeds.append(limit)
-        self.speeds = np.array(speeds)
-        self.n_v = n = len(speeds)
-        band_lo = limit - BOUNDARY_BAND_M_S - 1e-9
-        self.dt = np.where(self.speeds >= band_lo, grid.boundary_time_step_s, grid.time_step_s)
+        early = early_arc(grid, limit)
+        if early:
+            raise ValueError(
+                "distance_step_m is too short for the time bins: an arc from "
+                "%g to %g m/s could land in an earlier bin than it leaves" % early)
+        self.speeds, self.dt = speed_bins(grid, limit)
+        self.n_v = n = len(self.speeds)
 
         dx = grid.distance_step_m
         self.cost = np.full((n, n), np.inf)  # by (source, destination) speed
         self.dur = np.full((n, n), np.nan)
         self.arcs: dict[tuple[int, int], ArcCost] = {}
-        for i in range(n):
-            vi = float(self.speeds[i])
-            for j in range(n):
-                vj = float(self.speeds[j])
-                if vi + vj <= 0.0:
-                    continue
-                a = (vj * vj - vi * vi) / (2.0 * dx)
-                if a < grid.decel_min_m_s2 - _EPS or a > grid.accel_max_m_s2 + _EPS:
-                    continue
-                arc = self.arcs[i, j] = motion_arc_cost(vi, vj, dx, vehicle, battery, prices)
-                self.cost[i, j] = arc.total_usd
-                self.dur[i, j] = arc.duration_s
-                # the arc must land in a bin that starts after its source bin
-                # does, however it rounds, so that states in time order only
-                # feed later states
-                if arc.duration_s - self.dt[j] + 0.5 * self.dt[i] <= 1e-6 * self.dt[j]:
-                    raise ValueError(
-                        f"distance_step_m is too short for the time bins: an arc from "
-                        f"{vi:g} to {vj:g} m/s could land in an earlier bin than it leaves")
+        speeds = self.speeds.tolist()
+        src, dst = np.nonzero(motion_pairs(grid, self.speeds))
+        for i, j in zip(src.tolist(), dst.tolist()):
+            arc = self.arcs[i, j] = motion_arc_cost(speeds[i], speeds[j], dx, vehicle, battery, prices)
+            self.cost[i, j] = arc.total_usd
+            self.dur[i, j] = arc.duration_s
         j, i = np.nonzero(np.isfinite(self.dur.T))  # the feasible pairs, destination-major
         self.pairs = Pairs(i, j, self.dt[i], self.dt[j], self.dur[i, j])
         self.sources = np.split(i, np.cumsum(np.bincount(j, minlength=n))[:-1])
@@ -155,6 +176,22 @@ class Lattice:
 # paper grid and its halved-speed-step retry, so each keeps the priced arcs
 # and the numbering of every grid it uses.
 _KEPT_LATTICES = 32
+
+
+class _Key(tuple):
+    """A lattice key that hashes its fields once: the battery's hash walks
+    its coefficient table, and a lookup hashes its key twice (the pop and
+    the insert that moves it last)."""
+
+    def __new__(cls, fields: tuple) -> _Key:
+        key = super().__new__(cls, fields)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 _lattices: dict[tuple, Lattice] = {}
 # Bytes of plans that the lattices not in use may hold between them. Sized
 # between the two kinds of grid: the plans of all 27 tiny grids take 144 KB
@@ -171,7 +208,7 @@ def _lattice(grid: DpGridSpec, limit: float, vehicle: VehicleParams,
     the least recently used of ``_KEPT_LATTICES`` out when a new one comes
     in. Then the other lattices drop their plans, least recently used
     first, until they hold at most ``_PLAN_BUDGET_BYTES`` between them."""
-    key = (grid, limit, vehicle, battery, prices)
+    key = _Key((grid, limit, vehicle, battery, prices))
     lat = _lattices.pop(key, None)
     if lat is None:
         lat = Lattice(*key)

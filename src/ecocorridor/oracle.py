@@ -2,25 +2,21 @@
 
 Generates small corridors and coarse grids where every feasible path can be
 enumerated, then checks that dynamic programming finds exactly the same
-minimum. The enumeration generates each arc once (`_arcs`) from its own
-statement of the solver's arc rules. The rules that hold at any node and
-time are evaluated once per context into a per-speed table
-(`_motion_arcs`): no zero-duration arc, the acceleration bounds, the
-duration 2 dx / (v0 + v1). `_arcs` states the rest: a wait only at zero
+minimum. The enumeration (`_enumerate_min`) advances every partial path
+together, one node at a time, under its own statement of the solver's arc
+rules: a motion arc only where `_motion_durations`, a per-case table by
+source and destination speed, allows one (no zero-duration arc, the
+acceleration bounds, the duration 2 dx / (v0 + v1)); a wait only at zero
 speed at a stop line, within the budget; a departure from a stop line only
 on green at t and at t - `signal_margin_s` (`phase_at`, never the solver's
-gate); one rounded arrival bin per arc, within the budget. The search
-caches the arcs of each state it reaches for one case, keyed by (node,
-speed bin, time bin), and stores no value or path per state. It shares
-with the solver the speeds, the bin widths and bins per speed, the
-stop-line nodes, the arrival tie nudge (`forward.tie_eps`) and the
-arc-cost table, so agreement is exact. The solver is reached as
-`dp.optimize` and `dp.DpContext`, so wrappers placed on the `dp` module see
-the oracle's solves too."""
+gate); one rounded arrival bin per arc, within the budget. It keeps no
+cache keyed by state or bin. It shares with the solver the speeds, the bin
+widths and bins per speed, the stop-line nodes, the arrival tie nudge
+(`forward.tie_eps`) and the arc-cost table, so agreement is exact. The
+solver is reached as `dp.optimize` and `dp.DpContext`, so wrappers placed
+on the `dp` module see the oracle's solves too."""
 from __future__ import annotations
 
-import functools
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,92 +33,71 @@ from .powertrain import VehicleParams
 _MAX_PATHS = 10_000_000
 
 
-def _departure_allowed(ctx: dp.DpContext, node: int, t: float) -> bool:
-    """Scalar restatement of the solver's green gate at a stop-line node."""
-    sig_idx = ctx.stop_nodes.get(node)
-    if sig_idx is None:
-        return True
-    sig = ctx.corridor.signals[sig_idx]
-    m = ctx.grid.signal_margin_s
-    # at a zero margin t - m is t, so one read decides
-    return phase_at(sig, t) is Phase.GREEN and (m == 0.0 or phase_at(sig, t - m) is Phase.GREEN)
-
-
-@functools.lru_cache(maxsize=1)
-def _motion_arcs(ctx: dp.DpContext) -> tuple[tuple[tuple[int, float, float, int, float], ...], ...]:
-    """Per source speed, the motion arcs that the oracle's rules allow at
-    any node and time, by destination speed, each as (destination speed,
-    duration, its bin width, its bin count, cost): no zero-duration arc,
-    none past the acceleration bounds, the duration 2 dx / (v0 + v1).
-    Plain floats, built once per context; ``_arcs`` adds the rules that
-    depend on the node and the time."""
-    g, dx = ctx.grid, ctx.dx
-    speeds, dt, n_t = ctx.speeds.tolist(), ctx.dt.tolist(), ctx.n_t.tolist()
-    cost = ctx.lattice.cost.tolist()
-    table = []
-    for j, vi in enumerate(speeds):
-        row = []
-        for j2, vj in enumerate(speeds):
-            if vi + vj <= 0.0:
-                continue  # zero duration
-            a = (vj * vj - vi * vi) / (2.0 * dx)
-            if a < g.decel_min_m_s2 - _EPS or a > g.accel_max_m_s2 + _EPS:
-                continue
-            row.append((j2, 2.0 * dx / (vi + vj), dt[j2], n_t[j2], cost[j][j2]))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _arcs(ctx: dp.DpContext, k: int, j: int, tb: int) -> Iterator[tuple[int, int, int, float]]:
-    """The arcs out of bin ``tb`` at speed ``j`` of node ``k`` under the arc
-    rules as the oracle states them, each as (node, speed bin, time bin,
-    cost): the wait arc first, then the motion arcs of ``_motion_arcs`` that
-    leave on green and arrive within the budget. The arrival bin rounds half
-    to even, as the solver's ``np.rint`` does."""
-    if k in ctx.stop_nodes and j == 0 and tb + 1 < ctx.n_t[0]:
-        yield k, 0, tb + 1, ctx.wait_cost.total_usd
-    t = tb * float(ctx.dt[j])
-    if not _departure_allowed(ctx, k, t):
-        return
-    eps = tie_eps(k)
-    for j2, dur, dt2, n_t2, cost in _motion_arcs(ctx)[j]:
-        tb2 = round((t + dur) / dt2 + eps)
-        if tb2 < n_t2:
-            yield k + 1, j2, tb2, cost
-
-
 class EnumerationBudgetExceeded(RuntimeError):
     pass
 
 
+def _motion_durations(ctx: dp.DpContext) -> np.ndarray:
+    """Per (source, destination) speed, the duration of the motion arc that
+    the oracle's rules allow at any node and time, ``inf`` where they allow
+    none: no zero-duration arc, none past the acceleration bounds, the
+    duration 2 dx / (v0 + v1). Built for each case in a few numpy calls."""
+    g, dx = ctx.grid, ctx.dx
+    v0, v1 = ctx.speeds[:, None], ctx.speeds
+    a = (v1 * v1 - v0 * v0) / (2.0 * dx)
+    ok = (v0 + v1 > 0.0) & (a >= g.decel_min_m_s2 - _EPS) & (a <= g.accel_max_m_s2 + _EPS)
+    return np.divide(2.0 * dx, v0 + v1, out=np.full(ok.shape, np.inf), where=ok)
+
+
 def _enumerate_min(ctx: dp.DpContext) -> tuple[float | None, int]:
-    """Exhaustive depth-first search over all feasible paths: the minimum
-    cost of those that exit at the speed limit, and the number of paths.
-    Costs accumulate in path order, so results are bit-comparable with the
-    DP recursion. A state's arcs depend only on (k, j, tb), so the arcs of
-    each reached state are generated once and walked again on every later
-    visit."""
-    paths, best = 0, None
-    last = ctx.n_nodes - 1
-    arcs_of: dict[tuple[int, int, int], tuple[tuple[int, int, int, float], ...]] = {}
+    """Exhaustive enumeration of all feasible paths: the minimum cost of
+    those that exit at the speed limit, and the number of paths.
 
-    def recurse(k: int, j: int, tb: int, acc: float) -> None:
-        nonlocal paths, best
-        if k == last:
-            paths += 1
-            if paths > _MAX_PATHS:
-                raise EnumerationBudgetExceeded(f"more than {_MAX_PATHS} paths")
-            if j == ctx.top and (best is None or acc < best):
-                best = acc
-            return
-        out = arcs_of.get((k, j, tb))
-        if out is None:
-            out = arcs_of[k, j, tb] = tuple(_arcs(ctx, k, j, tb))
-        for k2, j2, tb2, cost in out:
-            recurse(k2, j2, tb2, acc + cost)
-
-    recurse(0, ctx.top, 0, 0.0)
-    return best, paths
+    The partial paths advance together one node at a time, held as arrays
+    of speed bin, time bin and cost so far. At a stop line, a path at zero
+    speed may first wait one bin at a time within the budget, and a path
+    departs only on green at t and at t - ``signal_margin_s`` (the scalar
+    ``phase_at`` on each distinct time, never the solver's gate). Each path
+    then takes every motion arc of ``_motion_durations`` whose rounded
+    arrival bin (half to even, as the solver's ``np.rint``) is within the
+    budget. Costs accumulate in path order, so results are bit-comparable
+    with the DP recursion; memory grows with the number of paths."""
+    dur, cost, dt, n_t = _motion_durations(ctx), ctx.lattice.cost, ctx.dt, ctx.n_t
+    m = ctx.grid.signal_margin_s
+    j, tb, acc = np.array([ctx.top]), np.zeros(1), np.zeros(1)
+    for k in range(ctx.n_nodes - 1):
+        if not len(j):
+            return None, 0
+        t = tb * dt[j]
+        sig_idx = ctx.stop_nodes.get(k)
+        if sig_idx is not None:
+            stopped = np.flatnonzero(j == 0)
+            if len(stopped):
+                # waits of 1, 2, ... bins, their costs summed one bin at a time
+                bins = tb[stopped, None] + np.arange(1.0, n_t[0])
+                waited = np.full((len(stopped), n_t[0]), ctx.wait_cost.total_usd)
+                waited[:, 0] = acc[stopped]
+                np.cumsum(waited, axis=1, out=waited)
+                row, w = np.nonzero(bins < n_t[0])
+                j = np.concatenate((j, np.zeros(len(row), dtype=j.dtype)))
+                t = np.concatenate((t, bins[row, w] * dt[0]))
+                acc = np.concatenate((acc, waited[row, w + 1]))
+            sig = ctx.corridor.signals[sig_idx]
+            times = np.sort(t)
+            times = times[np.concatenate(([True], times[1:] != times[:-1]))]
+            green = np.array([
+                phase_at(sig, x) is Phase.GREEN and (m == 0.0 or phase_at(sig, x - m) is Phase.GREEN)
+                for x in times.tolist()], dtype=bool)
+            go = green[np.searchsorted(times, t)]
+            j, t, acc = j[go], t[go], acc[go]
+        # the binned arrival, rounded half to even as the solver rounds, within the budget
+        arrive = np.rint((t[:, None] + dur[j]) / dt + tie_eps(k))
+        row, j2 = np.nonzero(arrive < n_t)
+        j, tb, acc = j2, arrive[row, j2], acc[row] + cost[j[row], j2]
+    if len(j) > _MAX_PATHS:
+        raise EnumerationBudgetExceeded(f"more than {_MAX_PATHS} paths")
+    exits = acc[j == ctx.top]
+    return (float(exits.min()) if len(exits) else None), len(j)
 
 
 def verify_against_enumeration(

@@ -118,6 +118,11 @@ class ScenarioResult:
         return percent_saving(self.regular_cost.energy_kwh, self.eco_cost.energy_kwh)
 
 
+def retry_grid(grid: DpGridSpec) -> DpGridSpec:
+    """The grid of ``run_scenario``'s retry: half the speed step."""
+    return replace(grid, speed_step_m_s=grid.speed_step_m_s / 2.0)
+
+
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Regular driver first; its trip time caps the optimizer's arrival.
 
@@ -137,8 +142,7 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     # retried outside the handler, whose traceback would keep the failed
     # solve's forward pass alive through the retry
     if res is None:
-        fine = replace(spec.grid, speed_step_m_s=spec.grid.speed_step_m_s / 2.0)
-        res = optimize(c, vp, bat, fine, spec.prices, budget_s=budget)
+        res = optimize(c, vp, bat, retry_grid(spec.grid), spec.prices, budget_s=budget)
     regular_cost = evaluate_trajectory(regular, vp, bat, spec.prices)
     # the optimizer prices its plan arc by arc and fills the eco columns
     return ScenarioResult(spec, regular, regular_cost, res)

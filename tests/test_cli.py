@@ -17,6 +17,14 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # must say so.
 VERIFY_SEED_0_LINES_SHA256 = "5348b6512c739acc2a7338ccfa3546944a1f969624e2aa2fe18d14c908b1afc9"
 VERIFY_SEED_0_PATHS = 18_331
+# The same pins for seeds 1-5: (lines sha256, paths) by seed.
+VERIFY_PINS = {
+    1: ("bb514068465541e97b3c0b14bd4977a2ec4ff15bc2b08404dacb695969646490", 15_566),
+    2: ("ca884be1c33fdbc2eca44a0e5ff0dc6b424e906217a944daed72b427dadf4180", 14_453),
+    3: ("ddde541334f03e0ec2f746c8026cf4e92e853ba2d7d6bc325a302281669c7e81", 14_279),
+    4: ("76b84d19f12c9e9d81d3ff22cb6493dc74642e66e2856c407c46bf43dcd01905", 10_928),
+    5: ("1aa791102988da00c489d6f03de9ac76e66eca4fbed203ea6232b31f54e0b682", 11_490),
+}
 
 
 @pytest.fixture()
@@ -106,6 +114,14 @@ def test_verify_report_is_pinned(capsys):
     assert capsys.readouterr().out == "ok: optimizer matches enumeration on all 50 cases\n"
 
 
+@pytest.mark.parametrize("seed", sorted(VERIFY_PINS))
+def test_verify_reports_of_other_seeds_are_pinned(seed):
+    report = oracle.run_oracle_suite(cases=50, seed=seed, verbose=True)
+    assert (report.cases, report.failures, len(report.lines)) == (50, 0, 50)
+    digest = hashlib.sha256("\n".join(report.lines).encode()).hexdigest()
+    assert (digest, report.paths_total) == VERIFY_PINS[seed]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--cases", "0"],
     ["verify", "--cases", "-3"],
@@ -157,6 +173,25 @@ def test_off_grid_corridor_exits_2(tiny_config, tmp_path, capsys, argv, edit, ke
     out = tmp_path / "out"
     assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == EXIT_VALIDATION
     assert f"configuration error: '{key}' must be a whole number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep"]])
+@pytest.mark.parametrize("grid, which", [
+    # each used to end in a ValueError traceback with exit 1
+    ({"distance_step_m": 5}, "time bins"),
+    # only the retry's grid, at half the speed step, breaks the rule
+    ({"distance_step_m": 5, "speed_step_m_s": 1.0}, "time bins of the halved-speed-step retry"),
+])
+def test_distance_step_too_short_exits_2(tiny_config, tmp_path, capsys, argv, grid, which):
+    payload = json.loads(tiny_config.read_text())
+    payload["grid"].update(grid)
+    tiny_config.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: 'grid.distance_step_m' (5 m) is too short for the "
+                          f"{which}: an arc from ")
     assert not out.exists()
 
 

@@ -174,6 +174,29 @@ def test_off_grid_corridor_exits_2(tmp_path, capsys, payload, key):
     assert not (tmp_path / "table2.csv").exists()
 
 
+@pytest.mark.parametrize("grid, which", [
+    # used to load, and `run` and `sweep` then ended in a ValueError
+    # traceback with exit 1 from the lattice
+    ({"distance_step_m": 5}, "time bins"),
+    # the grid keeps the rule, but the halved-speed-step grid that
+    # `run_scenario` solves an infeasible scenario on again does not
+    ({"distance_step_m": 5, "speed_step_m_s": 1.0}, "time bins of the halved-speed-step retry"),
+])
+def test_distance_step_too_short_for_the_bins_exits_2(tmp_path, capsys, grid, which):
+    path = write_cfg(tmp_path, {"grid": grid})
+    message = (f"'grid.distance_step_m' (5 m) is too short for the {which}: an arc from 24 "
+               "to 23.5 m/s could land in an earlier bin than it leaves")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == message
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "table2.csv").exists()
+    # a longer step keeps the rule on both grids
+    grid["distance_step_m"] = 10
+    load_config(write_cfg(tmp_path, {"grid": grid}))
+
+
 # config blocks that load_config builds field by field from a dataclass
 DATACLASS_BLOCKS = {
     "vehicle": VehicleParams,

@@ -1,5 +1,4 @@
 """Optimizer tests: feasibility, determinism and enumeration agreement."""
-import functools
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,9 +15,7 @@ from ecocorridor.corridor import (
 from ecocorridor.costs import J_PER_KWH, Prices, interval_cost, motion_arc_cost
 from ecocorridor.dp import DpGridSpec, InfeasibleScenarioError, optimize, time_budget
 from ecocorridor.forward import bins_within, forward_pass, tie_eps
-from ecocorridor.oracle import (
-    _arcs, random_tiny_instance, run_oracle_suite, verify_against_enumeration,
-)
+from ecocorridor.oracle import random_tiny_instance, run_oracle_suite, verify_against_enumeration
 from ecocorridor.powertrain import VehicleParams
 from ecocorridor.study import VEHICLE_VARIANTS
 from ecocorridor.trajectory import check_safety
@@ -158,50 +155,81 @@ def test_matches_enumeration_on_tiny_instances():
     assert report.paths_total > 0
 
 
-def _walk_without_a_cache(ctx):
-    """The oracle's search as it would be without its per-state arc cache:
-    `_arcs` at every departure. Returns (best, paths, departures)."""
-    paths, best, departures = 0, None, 0
+def _reference_arcs(ctx, k, j, tb):
+    """The arcs out of bin ``tb`` at speed ``j`` of node ``k``, one arc at a
+    time in plain floats, under the oracle's arc rules, each as (node, speed
+    bin, time bin, cost): a wait at zero speed at a stop line within the
+    budget; then, on green at t and at t - ``signal_margin_s`` at a stop
+    line (``phase_at``), every motion arc of nonzero duration within the
+    acceleration bounds, lasting 2 dx / (v0 + v1), whose arrival bin,
+    rounded half to even, is within the budget."""
+    g, dx = ctx.grid, ctx.dx
+    if k in ctx.stop_nodes and j == 0 and tb + 1 < ctx.n_t[0]:
+        yield k, 0, tb + 1, ctx.wait_cost.total_usd
+    t = tb * float(ctx.dt[j])
+    sig_idx = ctx.stop_nodes.get(k)
+    if sig_idx is not None:
+        sig, m = ctx.corridor.signals[sig_idx], g.signal_margin_s
+        if phase_at(sig, t) is not Phase.GREEN or phase_at(sig, t - m) is not Phase.GREEN:
+            return
+    vi = float(ctx.speeds[j])
+    for j2, vj in enumerate(ctx.speeds.tolist()):
+        if vi + vj <= 0.0:
+            continue  # zero duration
+        a = (vj * vj - vi * vi) / (2.0 * dx)
+        if a < g.decel_min_m_s2 - dp._EPS or a > g.accel_max_m_s2 + dp._EPS:
+            continue
+        tb2 = round((t + 2.0 * dx / (vi + vj)) / float(ctx.dt[j2]) + tie_eps(k))
+        if tb2 < ctx.n_t[j2]:
+            yield k + 1, j2, tb2, float(ctx.lattice.cost[j, j2])
+
+
+def _reference_walk(ctx):
+    """Exhaustive depth-first search over `_reference_arcs`, summing costs
+    in path order: the minimum cost of the paths that exit at the speed
+    limit, the number of paths, and the number of departures from stop
+    lines (states left at a stop-line node)."""
+    paths, best, stop_departures = 0, None, 0
     last = ctx.n_nodes - 1
 
     def recurse(k, j, tb, acc):
-        nonlocal paths, best, departures
+        nonlocal paths, best, stop_departures
         if k == last:
             paths += 1
             if j == ctx.top and (best is None or acc < best):
                 best = acc
             return
-        departures += 1
-        for k2, j2, tb2, cost in _arcs(ctx, k, j, tb):
+        stop_departures += k in ctx.stop_nodes
+        for k2, j2, tb2, cost in _reference_arcs(ctx, k, j, tb):
             recurse(k2, j2, tb2, acc + cost)
 
     recurse(0, ctx.top, 0, 0.0)
-    return best, paths, departures
+    return best, paths, stop_departures
 
 
-def test_motion_arc_table_is_built_once_per_context(monkeypatch):
-    # the node- and time-free arc rules are evaluated once per enumeration
-    # context, and a state's arcs once per case, however many times the
-    # search leaves that state
-    built, calls = [], []
-    build, arcs = oracle._motion_arcs.__wrapped__, oracle._arcs
+def test_motion_table_is_built_once_per_case(monkeypatch):
+    # the node- and time-free arc rules are evaluated once per case, and
+    # the gate reads each distinct departure time at a stop line once,
+    # however many paths leave at that time
+    built, gated = [], []
+    build, phase = oracle._motion_durations, oracle.phase_at
 
     def spy_build(ctx):
         built.append(ctx)
         return build(ctx)
 
-    def spy_arcs(*args):
-        calls.append(args)
-        return arcs(*args)
+    def spy_phase(sig, t):
+        gated.append((sig, t))
+        return phase(sig, t)
 
-    monkeypatch.setattr(oracle, "_motion_arcs", functools.lru_cache(maxsize=1)(spy_build))
-    monkeypatch.setattr(oracle, "_arcs", spy_arcs)
+    monkeypatch.setattr(oracle, "_motion_durations", spy_build)
+    monkeypatch.setattr(oracle, "phase_at", spy_phase)
     report = run_oracle_suite(cases=12, seed=7)
     assert report.failures == 0
     assert len(built) == 12
-    assert len(set(calls)) == len(calls)
-    departures = sum(_walk_without_a_cache(ctx)[2] for ctx in list(built))
-    assert departures > len(calls)
+    assert len(set(gated)) == len(gated)
+    departures = sum(_reference_walk(ctx)[2] for ctx in built)
+    assert departures > len(gated)
 
 
 def _cases_for_the_walks():
@@ -214,13 +242,12 @@ def _cases_for_the_walks():
         yield _binding_tiny_instance(rng)
 
 
-def test_cached_walk_matches_a_walk_without_a_cache():
-    # the cache only saves regenerating arcs: the same minimum, bit for bit,
-    # over the same number of paths
+def test_enumeration_matches_the_reference_walk():
+    # the same minimum, bit for bit, over the same number of paths
     vp, bat = VehicleParams(), BatteryModel()
     for c, g, budget in _cases_for_the_walks():
         ctx = dp.DpContext(c, vp, bat, g, Prices(), budget)
-        assert oracle._enumerate_min(ctx) == _walk_without_a_cache(ctx)[:2]
+        assert oracle._enumerate_min(ctx) == _reference_walk(ctx)[:2]
 
 
 def test_enumeration_gives_up_past_the_path_cap(monkeypatch):
@@ -336,8 +363,11 @@ def test_both_arc_rules_bind_the_deceleration_bound(limit, reachable):
                    boundary_time_step_s=1.0, signal_margin_s=0.0)
     assert g.decel_min_m_s2 == -4.0
     ctx = dp.DpContext(c, VehicleParams(), BatteryModel(), g, Prices(), 60.0)
-    by_oracle = {float(ctx.speeds[j]) for _, j, _, _ in _arcs(ctx, 0, ctx.top, 0)}
+    by_reference = {float(ctx.speeds[j]) for _, j, _, _ in _reference_arcs(ctx, 0, ctx.top, 0)}
+    by_oracle = {float(ctx.speeds[j])
+                 for j in np.flatnonzero(np.isfinite(oracle._motion_durations(ctx)[ctx.top]))}
     by_solver = {float(ctx.speeds[j]) for j in np.flatnonzero(np.isfinite(ctx.lattice.cost[ctx.top]))}
+    assert by_reference == reachable
     assert by_oracle == reachable
     assert by_solver == reachable
 
@@ -713,6 +743,25 @@ def test_a_second_oracle_run_builds_nothing(monkeypatch):
     assert built == [[], [], []]
     assert warm.lines == cold.lines and len(warm.lines) == 50
     assert warm.paths_total == cold.paths_total
+
+
+def test_a_warm_lattice_lookup_hashes_the_battery_once(monkeypatch):
+    # the battery's hash walks its coefficient table
+    (c, vp, bat, g, _), other = _tiny_cells(1, seed=3)[0], _tiny_cells(1, seed=4)[0]
+    _forget_lattices()
+    lat = dp._lattice(g, c.speed_limit_m_s, vp, bat, Prices())
+    dp._lattice(other[3], other[0].speed_limit_m_s, vp, bat, Prices())
+    hashed, battery_hash = [], BatteryModel.__hash__
+
+    def spy(self):
+        hashed.append(self)
+        return battery_hash(self)
+
+    monkeypatch.setattr(BatteryModel, "__hash__", spy)
+    assert dp._lattice(g, c.speed_limit_m_s, vp, bat, Prices()) is lat
+    assert len(hashed) == 1
+    # the lookup made the lattice the most recently used
+    assert list(dp._lattices.values())[-1] is lat
 
 
 def _spy(monkeypatch, name):
