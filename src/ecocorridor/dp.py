@@ -170,14 +170,6 @@ class Lattice:
         return self._plans
 
 
-# The kept lattices by key, least recently used first (a plain dict: an
-# OrderedDict hashes every key again as it iterates). The oracle's
-# `random_tiny_instance` draws one of 27 grids, and a study solves on the
-# paper grid and its halved-speed-step retry, so each keeps the priced arcs
-# and the numbering of every grid it uses.
-_KEPT_LATTICES = 32
-
-
 class _Key(tuple):
     """A lattice key that hashes its fields once: the battery's hash walks
     its coefficient table, and a lookup hashes its key twice (the pop and
@@ -192,6 +184,12 @@ class _Key(tuple):
         return self._hash
 
 
+# The kept lattices by key, least recently used first (a plain dict: an
+# OrderedDict hashes every key again as it iterates). The oracle's
+# `random_tiny_instance` draws one of 27 grids, and a study solves on the
+# paper grid and its halved-speed-step retry, so each keeps the priced arcs
+# and the numbering of every grid it uses.
+_KEPT_LATTICES = 32
 _lattices: dict[tuple, Lattice] = {}
 # Bytes of plans that the lattices not in use may hold between them. Sized
 # between the two kinds of grid: the plans of all 27 tiny grids take 144 KB
